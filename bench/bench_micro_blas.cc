@@ -1,4 +1,4 @@
-// google-benchmark microbenchmarks for the local kernels: tiled DGEMM vs the
+// google-benchmark microbenchmarks for the local kernels: packed DGEMM vs the
 // naive reference, the sparse kernels, and block-level dispatch.
 
 #include <benchmark/benchmark.h>
@@ -29,7 +29,7 @@ CsrMatrix RandomCsr(int64_t n, double density, uint64_t seed) {
   return *CsrMatrix::FromTriplets(n, n, t);
 }
 
-void BM_DgemmTiled(benchmark::State& state) {
+void BM_Dgemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   DenseMatrix a = RandomDense(n, 1);
   DenseMatrix b = RandomDense(n, 2);
@@ -40,7 +40,32 @@ void BM_DgemmTiled(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_DgemmTiled)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_Dgemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// C += A * B at the shapes perfbench's workloads multiply: dense_general's
+// 256-blocks, GNMF's W^T W / H H^T (512x128x128, 128x512x128) and a
+// matrix-vector block, which takes the unpacked loop.
+void BM_DgemmShape(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
+  Rng rng(10);
+  DenseMatrix a = DenseMatrix::Random(m, k, &rng);
+  DenseMatrix b = DenseMatrix::Random(k, n, &rng);
+  DenseMatrix c(m, n);
+  for (auto _ : state) {
+    Dgemm(1.0, a, b, 1.0, &c);
+    benchmark::DoNotOptimize(c.mutable_data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_DgemmShape)
+    ->ArgNames({"m", "k", "n"})
+    ->Args({256, 256, 256})
+    ->Args({512, 128, 128})
+    ->Args({128, 512, 128})
+    ->Args({256, 256, 1});
 
 void BM_DgemmReference(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -21,15 +21,15 @@ void DcsrMm(const CsrMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
 void DgeCsrMm(const DenseMatrix& a, const CsrMatrix& b, DenseMatrix* c) {
   assert(a.cols() == b.rows());
   assert(c->rows() == a.rows() && c->cols() == b.cols());
-  const int64_t m = a.rows();
-  // For each non-zero B(r, j): C(:, j) += A(:, r) * value. Iterating rows of
-  // B keeps A column access strided but B access sequential.
-  for (int64_t r = 0; r < b.rows(); ++r) {
-    for (int64_t k = b.row_ptr()[r]; k < b.row_ptr()[r + 1]; ++k) {
-      const int64_t j = b.col_idx()[k];
-      const double bv = b.values()[k];
-      for (int64_t i = 0; i < m; ++i) {
-        c->Add(i, j, a.At(i, r) * bv);
+  // Row i of C is row i of A times B: scatter A(i, r) * B(r, :) into the C
+  // row for ascending r, so each C(i, j) sums over r in ascending order.
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    const double* arow = a.row(i);
+    double* crow = c->mutable_row(i);
+    for (int64_t r = 0; r < b.rows(); ++r) {
+      const double av = arow[r];
+      for (int64_t k = b.row_ptr()[r]; k < b.row_ptr()[r + 1]; ++k) {
+        crow[b.col_idx()[k]] += av * b.values()[k];
       }
     }
   }

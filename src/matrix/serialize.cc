@@ -42,15 +42,22 @@ class Reader {
   Status ReadVector(std::vector<T>* out) {
     int64_t n = 0;
     DISTME_RETURN_NOT_OK(Read(&n));
-    if (n < 0 || pos_ + static_cast<size_t>(n) * sizeof(T) > buf_.size()) {
+    return ReadArray(n, out);
+  }
+
+  /// Reads n values of T into *out, checking that n fit in the unread bytes
+  /// before allocating (the bound is a division, so it cannot wrap).
+  template <typename T>
+  Status ReadArray(int64_t n, std::vector<T>* out) {
+    if (n < 0 || static_cast<uint64_t>(n) > (buf_.size() - pos_) / sizeof(T)) {
       return Status::IOError("truncated block buffer (vector)");
     }
+    const size_t bytes = static_cast<size_t>(n) * sizeof(T);
     out->resize(static_cast<size_t>(n));
     if (n > 0) {  // data() may be null for an empty vector (UB for memcpy)
-      std::memcpy(out->data(), buf_.data() + pos_,
-                  static_cast<size_t>(n) * sizeof(T));
+      std::memcpy(out->data(), buf_.data() + pos_, bytes);
     }
-    pos_ += static_cast<size_t>(n) * sizeof(T);
+    pos_ += bytes;
     return Status::OK();
   }
 
@@ -106,9 +113,12 @@ Result<Block> DeserializeBlock(const std::vector<uint8_t>& buffer) {
     int64_t n = 0;
     DISTME_RETURN_NOT_OK(reader.Read(&n));
     if (n == 0) return Block::Zero(rows, cols);
-    if (n != rows * cols) return Status::IOError("dense payload size mismatch");
-    std::vector<double> data(static_cast<size_t>(n));
-    for (auto& v : data) DISTME_RETURN_NOT_OK(reader.Read(&v));
+    int64_t elements = 0;
+    if (__builtin_mul_overflow(rows, cols, &elements) || n != elements) {
+      return Status::IOError("dense payload size mismatch");
+    }
+    std::vector<double> data;
+    DISTME_RETURN_NOT_OK(reader.ReadArray(n, &data));
     return Block::Dense(DenseMatrix(rows, cols, std::move(data)));
   }
 

@@ -71,7 +71,7 @@ std::vector<TraceEvent> Tracer::Drain() {
   std::stable_sort(all.begin(), all.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-                     return a.dur_us > b.dur_us;
+                     return a.seq < b.seq;
                    });
   return all;
 }

@@ -65,6 +65,7 @@ struct TraceEvent {
   int64_t dur_us = 0;  ///< duration, µs
   int pid = 0;         ///< process track — one per simulated node
   int tid = 0;         ///< thread track — one per task slot
+  uint64_t seq = 0;    ///< open order within the tracer (TraceSpan stamps it)
   std::vector<std::pair<std::string, TraceArgValue>> args;
 };
 
@@ -89,9 +90,15 @@ class Tracer {
   /// \brief Appends `event` to the calling thread's buffer.
   void Record(TraceEvent event);
 
-  /// \brief Moves out every recorded event, sorted by (ts, dur desc) so
-  /// enclosing spans precede the spans they contain.
+  /// \brief Moves out every recorded event, sorted by (ts, seq): spans that
+  /// open in the same microsecond keep their open order, so enclosing spans
+  /// precede the spans they contain and back-to-back spans stay in sequence.
   std::vector<TraceEvent> Drain();
+
+  /// \brief The next open-order stamp for TraceEvent::seq.
+  uint64_t NextSeq() {
+    return next_seq_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// \brief Number of buffered events across all threads (for tests).
   size_t EventCount() const;
@@ -141,6 +148,7 @@ class Tracer {
   ThreadBuffer* BufferForThisThread();
 
   std::atomic<bool> enabled_{false};
+  std::atomic<uint64_t> next_seq_{0};
   const uint64_t tracer_id_;  // keys the per-thread buffer cache
   const std::chrono::steady_clock::time_point epoch_;
 
@@ -164,6 +172,7 @@ class TraceSpan {
     event_.pid = Tracer::CurrentPid();
     event_.tid = Tracer::CurrentTid();
     event_.ts_us = tracer_->NowMicros();
+    event_.seq = tracer_->NextSeq();
   }
 
   ~TraceSpan() { End(); }

@@ -1,17 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstring>
+#include <limits>
+#include <ostream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "blas/block_ops.h"
 #include "blas/gemm.h"
+#include "blas/gemm_internal.h"
 #include "blas/local_mm.h"
 #include "blas/spmm.h"
 #include "common/random.h"
 #include "matrix/generator.h"
 
 namespace distme::blas {
+
+namespace internal {
+// Names a variant in parameterized test output.
+void PrintTo(const DgemmVariantInfo& v, std::ostream* os) { *os << v.isa; }
+}  // namespace internal
+
 namespace {
 
 DenseMatrix RandomDense(int64_t r, int64_t c, uint64_t seed) {
@@ -79,6 +90,172 @@ TEST(GemmTest, IdentityIsNeutral) {
   EXPECT_LT(DenseMatrix::MaxAbsDiff(a, c), 1e-12);
 }
 
+// ---- Every ISA variant vs the i-k-j loop Dgemm ran before packing. ----
+
+// The seed kernel, kept here as the bitwise reference for the packed one.
+void SeedDgemm(double alpha, const DenseMatrix& a, const DenseMatrix& b,
+               double beta, DenseMatrix* c) {
+  const int64_t m = a.rows();
+  const int64_t k = a.cols();
+  const int64_t n = b.cols();
+  double* pc = c->mutable_data();
+  if (beta != 1.0) {
+    if (beta == 0.0) {
+      std::fill(pc, pc + m * n, 0.0);
+    } else {
+      for (int64_t idx = 0; idx < m * n; ++idx) pc[idx] *= beta;
+    }
+  }
+  if (alpha == 0.0 || m == 0 || n == 0 || k == 0) return;
+  const double* pa = a.data();
+  const double* pb = b.data();
+  for (int64_t i0 = 0; i0 < m; i0 += 64) {
+    const int64_t i_end = std::min<int64_t>(i0 + 64, m);
+    for (int64_t k0 = 0; k0 < k; k0 += 256) {
+      const int64_t k_end = std::min<int64_t>(k0 + 256, k);
+      for (int64_t j0 = 0; j0 < n; j0 += 256) {
+        const int64_t j_end = std::min<int64_t>(j0 + 256, n);
+        for (int64_t i = i0; i < i_end; ++i) {
+          double* crow = pc + i * n;
+          const double* arow = pa + i * k;
+          for (int64_t kk = k0; kk < k_end; ++kk) {
+            const double av = alpha * arow[kk];
+            if (av == 0.0) continue;
+            const double* brow = pb + kk * n;
+            for (int64_t j = j0; j < j_end; ++j) crow[j] += av * brow[j];
+          }
+        }
+      }
+    }
+  }
+}
+
+bool BitwiseEqual(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.num_elements()) * sizeof(double)) ==
+             0;
+}
+
+class DgemmVariantTest
+    : public ::testing::TestWithParam<internal::DgemmVariantInfo> {
+ protected:
+  // One variant and the seed loop on the same random A, B and C.
+  static void ExpectSeedBits(int64_t m, int64_t k, int64_t n, double alpha,
+                             double beta) {
+    const internal::DgemmVariantInfo& v = GetParam();
+    DenseMatrix a = RandomDense(m, k, 31);
+    DenseMatrix b = RandomDense(k, n, 32);
+    DenseMatrix c = RandomDense(m, n, 33);
+    DenseMatrix expected = c;
+    v.fn(alpha, a, b, beta, &c);
+    SeedDgemm(alpha, a, b, beta, &expected);
+    EXPECT_TRUE(BitwiseEqual(c, expected))
+        << v.isa << " " << m << "x" << k << "x" << n << " alpha=" << alpha
+        << " beta=" << beta;
+  }
+};
+
+TEST_P(DgemmVariantTest, BitwiseEqualToSeedLoopOnBlockingEdges) {
+  const internal::DgemmVariantInfo& v = GetParam();
+  const int64_t kc = internal::kDgemmKc;
+  const std::vector<int64_t> ms = {1, v.mr - 1, v.mr, v.mr + 1, 257, 513};
+  const std::vector<int64_t> ks = {1, kc - 1, kc, kc + 1, 513};
+  const std::vector<int64_t> ns = {1, v.nr - 1, v.nr, v.nr + 1, 257};
+  for (int64_t m : ms) {
+    for (int64_t k : ks) {
+      for (int64_t n : ns) ExpectSeedBits(m, k, n, 0.5, 0.25);
+    }
+  }
+  ExpectSeedBits(v.mr + 1, kc + 1, 513, 0.5, 0.25);
+  ExpectSeedBits(257, 513, 513, 0.5, 0.25);
+  ExpectSeedBits(256, 256, 1, 1.0, 1.0);  // matrix-vector: the loop path
+}
+
+TEST_P(DgemmVariantTest, BitwiseEqualToSeedLoopForAlphaBeta) {
+  const internal::DgemmVariantInfo& v = GetParam();
+  for (double alpha : {1.0, 0.5, 0.0}) {
+    for (double beta : {1.0, 0.25, 0.0}) {
+      ExpectSeedBits(v.mr + 1, internal::kDgemmKc + 1, v.nr + 1, alpha, beta);
+      ExpectSeedBits(2 * v.mr + 3, 2 * internal::kDgemmKc + 1, 3 * v.nr + 2,
+                     alpha, beta);
+    }
+  }
+}
+
+// The i-k-j loop skips alpha * A(i,k) == 0, so it never forms 0 * Inf and
+// never adds +0 to a -0 in C. The packed path multiplies through, as BLAS
+// does. Shapes thinner than the register tile keep the loop's behaviour.
+TEST_P(DgemmVariantTest, ZeroInAMeetingInfInBPropagatesOnPackedPath) {
+  const internal::DgemmVariantInfo& v = GetParam();
+  const double inf = std::numeric_limits<double>::infinity();
+  DenseMatrix a = RandomDense(v.mr, 2, 41);
+  a.Set(0, 0, 0.0);
+  DenseMatrix b = RandomDense(2, v.nr, 42);
+  b.Set(0, 0, inf);
+
+  DenseMatrix packed(v.mr, v.nr);
+  v.fn(1.0, a, b, 0.0, &packed);
+  EXPECT_TRUE(std::isnan(packed.At(0, 0)));  // 0 * Inf
+  EXPECT_TRUE(std::isinf(packed.At(1, 0)));
+  EXPECT_TRUE(std::isfinite(packed.At(0, 1)));
+
+  DenseMatrix seed(v.mr, v.nr);
+  SeedDgemm(1.0, a, b, 0.0, &seed);
+  EXPECT_TRUE(std::isfinite(seed.At(0, 0)));
+
+  DenseMatrix b_col(2, 1);
+  b_col.Set(0, 0, inf);
+  b_col.Set(1, 0, 1.0);
+  DenseMatrix loop(v.mr, 1);
+  v.fn(1.0, a, b_col, 0.0, &loop);  // n < NR: the loop path
+  EXPECT_EQ(loop.At(0, 0), a.At(0, 1));
+  EXPECT_TRUE(std::isinf(loop.At(1, 0)));
+}
+
+TEST_P(DgemmVariantTest, NanInAPropagatesOnBothPaths) {
+  const internal::DgemmVariantInfo& v = GetParam();
+  DenseMatrix a = RandomDense(v.mr, 3, 43);
+  a.Set(0, 1, std::numeric_limits<double>::quiet_NaN());
+  DenseMatrix b = RandomDense(3, v.nr, 44);
+  DenseMatrix packed(v.mr, v.nr);
+  v.fn(1.0, a, b, 0.0, &packed);
+  DenseMatrix loop(v.mr, 1);
+  v.fn(1.0, a, RandomDense(3, 1, 45), 0.0, &loop);
+  for (int64_t j = 0; j < v.nr; ++j) EXPECT_TRUE(std::isnan(packed.At(0, j)));
+  EXPECT_TRUE(std::isnan(loop.At(0, 0)));
+  EXPECT_TRUE(std::isfinite(packed.At(1, 0)));
+}
+
+TEST_P(DgemmVariantTest, NegativeZeroInCMeetingZeroInA) {
+  const internal::DgemmVariantInfo& v = GetParam();
+  DenseMatrix a(v.mr, 1);  // all zero
+  DenseMatrix b(1, v.nr);
+  b.Fill(1.0);
+  DenseMatrix packed(v.mr, v.nr);
+  packed.Fill(-0.0);
+  v.fn(1.0, a, b, 1.0, &packed);
+  EXPECT_FALSE(std::signbit(packed.At(0, 0)));  // -0 + 0 * 1 = +0
+  DenseMatrix seed(v.mr, v.nr);
+  seed.Fill(-0.0);
+  SeedDgemm(1.0, a, b, 1.0, &seed);
+  EXPECT_TRUE(std::signbit(seed.At(0, 0)));  // skipped: stays -0
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, DgemmVariantTest,
+    ::testing::ValuesIn(internal::SupportedDgemmVariants()),
+    [](const ::testing::TestParamInfo<internal::DgemmVariantInfo>& info) {
+      return std::string(info.param.isa);
+    });
+
+TEST(GemmTest, BaselineVariantIsAlwaysSupported) {
+  const std::vector<internal::DgemmVariantInfo> variants =
+      internal::SupportedDgemmVariants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants.back().isa, "baseline");
+}
+
 // ---- Sparse kernels vs densified reference. ----
 
 TEST(SpmmTest, CsrTimesDense) {
@@ -97,6 +274,24 @@ TEST(SpmmTest, DenseTimesCsr) {
   DgeCsrMm(a, b, &c);
   DenseMatrix expected = Multiply(a, b.ToDense());
   EXPECT_LT(DenseMatrix::MaxAbsDiff(c, expected), 1e-10);
+}
+
+TEST(SpmmTest, DenseTimesCsrBitwiseEqualToColumnWalk) {
+  DenseMatrix a = RandomDense(37, 41, 15);
+  CsrMatrix b = RandomSparse(41, 29, 0.2, 16);
+  DenseMatrix c = RandomDense(37, 29, 17);
+  DenseMatrix expected = c;
+  DgeCsrMm(a, b, &c);
+  // The order DgeCsrMm walked in before it went row by row over A: each
+  // C(i, j) still sums over r in ascending order.
+  for (int64_t r = 0; r < b.rows(); ++r) {
+    for (int64_t k = b.row_ptr()[r]; k < b.row_ptr()[r + 1]; ++k) {
+      for (int64_t i = 0; i < a.rows(); ++i) {
+        expected.Add(i, b.col_idx()[k], a.At(i, r) * b.values()[k]);
+      }
+    }
+  }
+  EXPECT_TRUE(BitwiseEqual(c, expected));
 }
 
 TEST(SpmmTest, CsrTimesCsr) {

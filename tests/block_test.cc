@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "matrix/block.h"
 #include "matrix/serialize.h"
@@ -132,6 +134,49 @@ TEST(SerializeTest, RejectsTruncatedBuffer) {
 
 TEST(SerializeTest, RejectsEmptyBuffer) {
   EXPECT_FALSE(DeserializeBlock({}).ok());
+}
+
+// A block header followed by raw int64 fields: magic, format, rows, cols.
+std::vector<uint8_t> Header(uint8_t fmt, int64_t rows, int64_t cols) {
+  std::vector<uint8_t> buf(4 + 1 + 8 + 8);
+  const uint32_t magic = 0xD157B10C;
+  std::memcpy(buf.data(), &magic, 4);
+  buf[4] = fmt;
+  std::memcpy(buf.data() + 5, &rows, 8);
+  std::memcpy(buf.data() + 13, &cols, 8);
+  return buf;
+}
+
+void AppendInt64(std::vector<uint8_t>* buf, int64_t value) {
+  const size_t offset = buf->size();
+  buf->resize(offset + 8);
+  std::memcpy(buf->data() + offset, &value, 8);
+}
+
+TEST(SerializeTest, RejectsDenseHeaderWhoseSizeOverflows) {
+  // rows * cols = (2^62 + 1) * 4 wraps to 4 in 64 bits, matching n = 4.
+  std::vector<uint8_t> buf = Header(0, (int64_t{1} << 62) + 1, 4);
+  AppendInt64(&buf, 4);
+  for (int i = 0; i < 4; ++i) AppendInt64(&buf, 0);
+  EXPECT_FALSE(DeserializeBlock(buf).ok());
+}
+
+TEST(SerializeTest, RejectsDensePayloadLargerThanBuffer) {
+  // A consistent 2^20 x 2^20 header with 8 bytes of payload: the size check
+  // must fail before the 8 TiB payload is allocated.
+  std::vector<uint8_t> buf = Header(0, int64_t{1} << 20, int64_t{1} << 20);
+  AppendInt64(&buf, int64_t{1} << 40);
+  AppendInt64(&buf, 0);
+  EXPECT_FALSE(DeserializeBlock(buf).ok());
+}
+
+TEST(SerializeTest, RejectsVectorLengthThatWraps) {
+  // (2^61 + 1) * sizeof(int64_t) wraps to 8, which the 8 trailing bytes
+  // would satisfy.
+  std::vector<uint8_t> buf = Header(1, 2, 2);
+  AppendInt64(&buf, (int64_t{1} << 61) + 1);
+  AppendInt64(&buf, 0);
+  EXPECT_FALSE(DeserializeBlock(buf).ok());
 }
 
 TEST(SerializeTest, SparseCheaperThanDenseForSparseData) {
