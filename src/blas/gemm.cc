@@ -26,36 +26,6 @@ constexpr int64_t kNc = 768;
 using KernelFn = void (*)(double alpha, const double* a, const double* b,
                           double* c, int64_t m, int64_t k, int64_t n);
 
-// The i-k-j tiled loop: the kernel for shapes too thin to pack (m < MR or
-// n < NR, e.g. matrix-vector blocks). It skips alpha * A(i,k) == 0.
-void LoopGemm(double alpha, const double* pa, const double* pb, double* pc,
-              int64_t m, int64_t k, int64_t n) {
-  constexpr int64_t kTileI = 64;
-  constexpr int64_t kTileK = 256;
-  constexpr int64_t kTileJ = 256;
-  for (int64_t i0 = 0; i0 < m; i0 += kTileI) {
-    const int64_t i_end = std::min(i0 + kTileI, m);
-    for (int64_t k0 = 0; k0 < k; k0 += kTileK) {
-      const int64_t k_end = std::min(k0 + kTileK, k);
-      for (int64_t j0 = 0; j0 < n; j0 += kTileJ) {
-        const int64_t j_end = std::min(j0 + kTileJ, n);
-        for (int64_t i = i0; i < i_end; ++i) {
-          double* crow = pc + i * n;
-          const double* arow = pa + i * k;
-          for (int64_t kk = k0; kk < k_end; ++kk) {
-            const double av = alpha * arow[kk];
-            if (av == 0.0) continue;
-            const double* brow = pb + kk * n;
-            for (int64_t j = j0; j < j_end; ++j) {
-              crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 int64_t RoundUp(int64_t x, int64_t multiple) {
   return (x + multiple - 1) / multiple * multiple;
 }
@@ -144,7 +114,8 @@ template <int kNr>
 }
 
 // C += alpha * A * B over packed panels, with an MR x (kNv * lanes of V)
-// register tile. Thin shapes fall back to LoopGemm.
+// register tile. Partial tiles at the matrix edges (and shapes thinner than
+// one tile) run through a zeroed MR x NR staging tile.
 template <int kLanes, int kMr, int kNv>
 [[gnu::always_inline]] inline void PackedGemm(double alpha, const double* pa,
                                               const double* pb, double* pc,
@@ -152,10 +123,6 @@ template <int kLanes, int kMr, int kNv>
                                               int64_t n) {
   typedef double V __attribute__((vector_size(kLanes * sizeof(double))));
   constexpr int kNr = kNv * kLanes;
-  if (m < kMr || n < kNr) {
-    LoopGemm(alpha, pa, pb, pc, m, k, n);
-    return;
-  }
   thread_local std::vector<double> a_buf;
   thread_local std::vector<double> b_buf;
   // Sized to this call's panels: at most (KC x NC + MC x KC) doubles.
@@ -164,7 +131,7 @@ template <int kLanes, int kMr, int kNv>
       ThreadScratch(&a_buf, RoundUp(std::min(m, kMc), kMr) * kc_max);
   double* pack_b =
       ThreadScratch(&b_buf, RoundUp(std::min(n, kNc), kNr) * kc_max);
-  alignas(64) double edge[kMr * kNr];
+  alignas(64) double edge[kMr * kNr] = {};
 
   for (int64_t jc = 0; jc < n; jc += kNc) {
     const int64_t nc = std::min(kNc, n - jc);

@@ -14,12 +14,11 @@ namespace distme::blas {
 /// A GotoBLAS-style kernel: packed A/B panels and an MR×NR register tile,
 /// built for AVX-512F, AVX2 and baseline x86-64 and chosen once per process
 /// from CPUID. Each C(i,j) adds alpha·A(i,k)·B(k,j) in ascending k with a
-/// separately rounded multiply and add (no FMA), so on finite inputs every
-/// variant gives the same bits as the i-k-j loop it replaced. Shapes thinner
-/// than the tile (m < MR or n < NR, e.g. matrix-vector) run that loop, which
-/// skips alpha·A(i,k) == 0. The packed path does not skip, as BLAS does not:
-/// a zero in A meeting an Inf or NaN in B gives NaN, and a -0 in C meeting a
-/// zero in A becomes +0.
+/// separately rounded multiply and add (no FMA), so every variant gives the
+/// same bits as the i-k-j loop it replaced, at every shape, except where that
+/// loop skipped alpha·A(i,k) == 0. The kernel multiplies through, as BLAS
+/// does: a zero in A meeting an Inf or NaN in B gives NaN, and a -0 in C
+/// meeting a zero in A becomes +0.
 void Dgemm(double alpha, const DenseMatrix& a, const DenseMatrix& b,
            double beta, DenseMatrix* c);
 

@@ -16,8 +16,8 @@ using DgemmFn = void (*)(double alpha, const DenseMatrix& a,
 
 struct DgemmVariantInfo {
   const char* isa;  ///< "avx512f", "avx2" or "baseline"
-  int mr;           ///< register tile rows; thinner A takes the i-k-j loop
-  int nr;           ///< register tile columns; thinner B takes the loop
+  int mr;           ///< register tile rows
+  int nr;           ///< register tile columns
   DgemmFn fn;
 };
 

@@ -70,6 +70,17 @@ class BoundedQueue {
     return item;
   }
 
+  /// \brief Non-blocking Pop: the front item, or std::nullopt when the
+  /// queue is empty right now.
+  std::optional<T> TryPop() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    not_full_.notify_one();
+    return item;
+  }
+
   /// \brief Closes the queue from either side; idempotent.
   void Close() {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -495,9 +495,11 @@ class RealExecutor::Impl {
     // One synchronous attempt: fetch + compute on the calling thread, the
     // legacy (depth 0) execution path — also the retry path at any depth.
     // Returns the pre-commit status; on OK, `*outputs` is ready to commit.
+    // `*fetch_seconds` is the time spent fetching inputs.
     auto run_attempt_sync = [&](const mm::LocalTask& task, int slot,
                                 bool crash, std::vector<PendingEmit>* outputs,
-                                bool* injected) -> Status {
+                                bool* injected,
+                                double* fetch_seconds) -> Status {
       const int node = static_cast<int>(task.id % config_.num_nodes);
       MemoryTracker tracker("task " + std::to_string(task.id),
                                      config_.task_memory_bytes);
@@ -515,12 +517,12 @@ class RealExecutor::Impl {
           crash && options.fault_point == FaultPoint::kMidPrefetch, injected,
           &staged_bytes);
       fetch_span.End();
-      const double fetch_seconds = fetch_clock.ElapsedSeconds();
-      fetch_nanos->Add(static_cast<int64_t>(fetch_seconds * 1e9));
+      *fetch_seconds = fetch_clock.ElapsedSeconds();
+      fetch_nanos->Add(static_cast<int64_t>(*fetch_seconds * 1e9));
       if (flight != nullptr) {
         flight->RecordEdge(obs::FlightEdgeKind::kFetchWait, node, slot,
                            task.id,
-                           static_cast<int64_t>(fetch_seconds * 1e6));
+                           static_cast<int64_t>(*fetch_seconds * 1e6));
       }
       DISTME_RETURN_NOT_OK(fetch_status);
       if (crash && options.fault_point == FaultPoint::kBeforeCompute) {
@@ -549,9 +551,11 @@ class RealExecutor::Impl {
     // is non-null (depth > 0) the first attempt consumes the prefetched
     // inputs and its fetch_wait is the pop stall (`pop_stall_seconds`,
     // started at flight timestamp `pipeline_start_us`); retries fall back
-    // to the synchronous path. Commit errors are run-fatal — a partially
-    // applied commit is never replayed, so reducer blocks cannot be
-    // double-counted.
+    // to the synchronous path. At depth > 0 a null `staged` means the
+    // worker found nothing staged and fetches inline: that first attempt's
+    // fetch counts as a pipeline stall. Commit errors are run-fatal — a
+    // partially applied commit is never replayed, so reducer blocks cannot
+    // be double-counted.
     auto execute_task = [&](const mm::LocalTask& task, int slot,
                             StagedTask* staged, int64_t pipeline_start_us,
                             double pop_stall_seconds) -> Status {
@@ -620,7 +624,14 @@ class RealExecutor::Impl {
           staged->inputs.reset();
           staged->tracker.reset();
         } else {
-          st = run_attempt_sync(task, slot, crash, &outputs, &injected);
+          double fetch_seconds = 0;
+          st = run_attempt_sync(task, slot, crash, &outputs, &injected,
+                                &fetch_seconds);
+          if (attempt == 0 && options.prefetch_depth > 0) {
+            prefetch_stalls->Add(1);
+            pipeline_stall_nanos->Add(
+                static_cast<int64_t>(fetch_seconds * 1e9));
+          }
         }
         bool commit_failed = false;
         if (st.ok() && !outputs.empty()) {
@@ -664,7 +675,9 @@ class RealExecutor::Impl {
     // compute worker w is flanked by its own fetch thread (stages the next
     // up-to-depth tasks' inputs through stage_queues[w], throttled per node
     // by a PrefetchGate) and its own emit thread (drains committed outputs
-    // through emit_queues[w]) — fetch, compute, and emit overlap.
+    // through emit_queues[w]) — fetch, compute, and emit overlap. A worker
+    // whose queue is empty claims the next task and runs it inline rather
+    // than sleeping until its fetch thread is scheduled again.
     const int num_workers = static_cast<int>(
         std::min<int64_t>(config_.total_slots(),
                           static_cast<int64_t>(tasks.size())));
@@ -722,6 +735,25 @@ class RealExecutor::Impl {
         return Status::OK();
       };
     }
+
+    // Claims the next unclaimed task for worker `w` and runs it with a
+    // synchronous fetch. Returns false once every task is claimed or the
+    // run has failed.
+    auto run_next_inline = [&](int w) -> bool {
+      const int64_t t = next_task.fetch_add(1, std::memory_order_relaxed);
+      if (t >= static_cast<int64_t>(tasks.size())) return false;
+      if (run_failed()) return false;
+      const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
+      const int node = static_cast<int>(task.id % config_.num_nodes);
+      // All spans opened under this worker (task body, shuffle transfers,
+      // GPU chunks) land on the (node, slot) track.
+      obs::Tracer::ScopedTrack track(node, w);
+      Status st = execute_task(task, w, /*staged=*/nullptr,
+                               /*pipeline_start_us=*/0,
+                               /*pop_stall_seconds=*/0.0);
+      if (!st.ok()) record_failure(std::move(st));
+      return true;
+    };
 
     std::vector<std::thread> fetchers;
     std::vector<std::thread> emitters;
@@ -810,15 +842,20 @@ class RealExecutor::Impl {
             }
           }
         });
-        // Compute stage.
+        // Compute stage: staged tasks first; with none staged, an inline
+        // task; once every task is claimed, wait for the staged tail.
         workers.emplace_back([&, w]() {
           while (true) {
+            std::optional<StagedTask> popped =
+                stage_queues[static_cast<size_t>(w)]->TryPop();
+            if (!popped.has_value() && run_next_inline(w)) continue;
             Stopwatch pop_clock;
             const int64_t wait_begin_us =
                 flight != nullptr ? flight->NowMicros() : 0;
             bool stalled = false;
-            std::optional<StagedTask> popped =
-                stage_queues[static_cast<size_t>(w)]->Pop(&stalled);
+            if (!popped.has_value()) {
+              popped = stage_queues[static_cast<size_t>(w)]->Pop(&stalled);
+            }
             if (!popped.has_value()) break;  // closed and fully drained
             const double stall_seconds =
                 stalled ? pop_clock.ElapsedSeconds() : 0.0;
@@ -857,20 +894,7 @@ class RealExecutor::Impl {
     } else {
       for (int w = 0; w < pool; ++w) {
         workers.emplace_back([&, w]() {
-          while (true) {
-            const int64_t t =
-                next_task.fetch_add(1, std::memory_order_relaxed);
-            if (t >= static_cast<int64_t>(tasks.size())) break;
-            if (run_failed()) break;
-            const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
-            const int node = static_cast<int>(task.id % config_.num_nodes);
-            // All spans opened under this worker (task body, shuffle
-            // transfers, GPU chunks) land on the (node, slot) track.
-            obs::Tracer::ScopedTrack track(node, w);
-            Status st = execute_task(task, w, /*staged=*/nullptr,
-                                     /*pipeline_start_us=*/0,
-                                     /*pop_stall_seconds=*/0.0);
-            if (!st.ok()) record_failure(std::move(st));
+          while (run_next_inline(w)) {
           }
         });
       }

@@ -52,6 +52,7 @@ Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
 }
 
 void Tracer::Record(TraceEvent event) {
+  if (event.seq == 0) event.seq = NextSeq();
   ThreadBuffer* buffer = BufferForThisThread();
   std::lock_guard<std::mutex> lock(buffer->mutex);
   buffer->events.push_back(std::move(event));

@@ -65,7 +65,7 @@ struct TraceEvent {
   int64_t dur_us = 0;  ///< duration, µs
   int pid = 0;         ///< process track — one per simulated node
   int tid = 0;         ///< thread track — one per task slot
-  uint64_t seq = 0;    ///< open order within the tracer (TraceSpan stamps it)
+  uint64_t seq = 0;    ///< open order within the tracer; 0 = not yet stamped
   std::vector<std::pair<std::string, TraceArgValue>> args;
 };
 
@@ -87,7 +87,8 @@ class Tracer {
   /// \brief Microseconds since this tracer was constructed.
   int64_t NowMicros() const;
 
-  /// \brief Appends `event` to the calling thread's buffer.
+  /// \brief Appends `event` to the calling thread's buffer, stamping its
+  /// seq first if the caller (unlike TraceSpan) left it 0.
   void Record(TraceEvent event);
 
   /// \brief Moves out every recorded event, sorted by (ts, seq): spans that
@@ -148,7 +149,7 @@ class Tracer {
   ThreadBuffer* BufferForThisThread();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_seq_{0};
+  std::atomic<uint64_t> next_seq_{1};  // 0 marks an unstamped event
   const uint64_t tracer_id_;  // keys the per-thread buffer cache
   const std::chrono::steady_clock::time_point epoch_;
 

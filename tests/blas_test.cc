@@ -169,7 +169,7 @@ TEST_P(DgemmVariantTest, BitwiseEqualToSeedLoopOnBlockingEdges) {
   }
   ExpectSeedBits(v.mr + 1, kc + 1, 513, 0.5, 0.25);
   ExpectSeedBits(257, 513, 513, 0.5, 0.25);
-  ExpectSeedBits(256, 256, 1, 1.0, 1.0);  // matrix-vector: the loop path
+  ExpectSeedBits(256, 256, 1, 1.0, 1.0);  // matrix-vector
 }
 
 TEST_P(DgemmVariantTest, BitwiseEqualToSeedLoopForAlphaBeta) {
@@ -184,9 +184,9 @@ TEST_P(DgemmVariantTest, BitwiseEqualToSeedLoopForAlphaBeta) {
 }
 
 // The i-k-j loop skips alpha * A(i,k) == 0, so it never forms 0 * Inf and
-// never adds +0 to a -0 in C. The packed path multiplies through, as BLAS
-// does. Shapes thinner than the register tile keep the loop's behaviour.
-TEST_P(DgemmVariantTest, ZeroInAMeetingInfInBPropagatesOnPackedPath) {
+// never adds +0 to a -0 in C. The packed kernel multiplies through, as BLAS
+// does, on full tiles and on shapes thinner than one tile alike.
+TEST_P(DgemmVariantTest, ZeroInAMeetingInfInBPropagates) {
   const internal::DgemmVariantInfo& v = GetParam();
   const double inf = std::numeric_limits<double>::infinity();
   DenseMatrix a = RandomDense(v.mr, 2, 41);
@@ -207,23 +207,26 @@ TEST_P(DgemmVariantTest, ZeroInAMeetingInfInBPropagatesOnPackedPath) {
   DenseMatrix b_col(2, 1);
   b_col.Set(0, 0, inf);
   b_col.Set(1, 0, 1.0);
-  DenseMatrix loop(v.mr, 1);
-  v.fn(1.0, a, b_col, 0.0, &loop);  // n < NR: the loop path
-  EXPECT_EQ(loop.At(0, 0), a.At(0, 1));
-  EXPECT_TRUE(std::isinf(loop.At(1, 0)));
+  DenseMatrix thin(v.mr, 1);
+  v.fn(1.0, a, b_col, 0.0, &thin);  // n < NR: one partial tile
+  EXPECT_TRUE(std::isnan(thin.At(0, 0)));
+  EXPECT_TRUE(std::isinf(thin.At(1, 0)));
+  DenseMatrix seed_thin(v.mr, 1);
+  SeedDgemm(1.0, a, b_col, 0.0, &seed_thin);
+  EXPECT_EQ(seed_thin.At(0, 0), a.At(0, 1));
 }
 
-TEST_P(DgemmVariantTest, NanInAPropagatesOnBothPaths) {
+TEST_P(DgemmVariantTest, NanInAPropagates) {
   const internal::DgemmVariantInfo& v = GetParam();
   DenseMatrix a = RandomDense(v.mr, 3, 43);
   a.Set(0, 1, std::numeric_limits<double>::quiet_NaN());
   DenseMatrix b = RandomDense(3, v.nr, 44);
   DenseMatrix packed(v.mr, v.nr);
   v.fn(1.0, a, b, 0.0, &packed);
-  DenseMatrix loop(v.mr, 1);
-  v.fn(1.0, a, RandomDense(3, 1, 45), 0.0, &loop);
+  DenseMatrix thin(v.mr, 1);
+  v.fn(1.0, a, RandomDense(3, 1, 45), 0.0, &thin);
   for (int64_t j = 0; j < v.nr; ++j) EXPECT_TRUE(std::isnan(packed.At(0, j)));
-  EXPECT_TRUE(std::isnan(loop.At(0, 0)));
+  EXPECT_TRUE(std::isnan(thin.At(0, 0)));
   EXPECT_TRUE(std::isfinite(packed.At(1, 0)));
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -178,8 +179,8 @@ TEST(TraceSpanTest, NestedSpansDrainEnclosingFirst) {
   tracer.SetEnabled(true);
   {
     TraceSpan outer(&tracer, "outer");
-    // The children must start measurably after the parent: spans that open
-    // in the same microsecond tie on (ts, dur) and drain in buffer order.
+    // The children start measurably after the parent, so this checks the
+    // ts order; RecordStampsUnstampedEventsInRecordOrder covers ties.
     const auto until =
         std::chrono::steady_clock::now() + std::chrono::microseconds(2);
     while (std::chrono::steady_clock::now() < until) {
@@ -191,13 +192,47 @@ TEST(TraceSpanTest, NestedSpansDrainEnclosingFirst) {
   }
   std::vector<TraceEvent> events = tracer.Drain();
   ASSERT_EQ(events.size(), 3u);
-  // Drain() sorts by (ts asc, dur desc): parents precede their children.
+  // Drain() sorts by (ts asc, open order): parents precede their children.
   EXPECT_EQ(events[0].name, "outer");
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].ts_us, events[0].ts_us);
     EXPECT_LE(events[i].ts_us + events[i].dur_us,
               events[0].ts_us + events[0].dur_us);
   }
+}
+
+TEST(TraceSpanTest, RecordStampsUnstampedEventsInRecordOrder) {
+  Tracer tracer;
+  tracer.SetEnabled(true);
+  {
+    TraceSpan enclosing(&tracer, "enclosing");
+    // Direct records leave seq 0; Record stamps them after the span's
+    // open stamp. On a ts tie they drain in record order, whatever dur.
+    TraceEvent first;
+    first.name = "first";
+    first.ts_us = 0;
+    first.dur_us = 1;
+    TraceEvent second = first;
+    second.name = "second";
+    second.dur_us = 10;
+    tracer.Record(first);
+    tracer.Record(second);
+  }
+  std::vector<TraceEvent> events = tracer.Drain();
+  ASSERT_EQ(events.size(), 3u);
+  std::vector<TraceEvent> recorded;
+  for (const TraceEvent& e : events) {
+    EXPECT_GT(e.seq, 0u) << e.name;
+    if (e.name != "enclosing") recorded.push_back(e);
+  }
+  ASSERT_EQ(recorded.size(), 2u);
+  EXPECT_EQ(recorded[0].name, "first");
+  EXPECT_EQ(recorded[1].name, "second");
+  const auto enclosing = std::find_if(
+      events.begin(), events.end(),
+      [](const TraceEvent& e) { return e.name == "enclosing"; });
+  ASSERT_NE(enclosing, events.end());
+  EXPECT_LT(enclosing->seq, recorded[0].seq);
 }
 
 TEST(TraceSpanTest, ScopedTrackRoutesSpans) {

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "blas/local_mm.h"
+#include "engine/pipeline.h"
 #include "engine/real_executor.h"
 #include "matrix/generator.h"
 #include "mm/methods.h"
@@ -293,6 +294,21 @@ TEST(PipelineTest, NegativeDepthRejected) {
   bad.prefetch_depth = -1;
   auto run = executor.Run(a, b, mm::RmmMethod(), bad);
   EXPECT_FALSE(run.ok());
+}
+
+// A compute worker polls its stage queue with TryPop before running a task
+// inline, so TryPop must return at once on an empty queue, open or closed.
+TEST(BoundedQueueTest, TryPopNeverBlocks) {
+  BoundedQueue<int> queue(2);
+  EXPECT_FALSE(queue.TryPop().has_value());
+  ASSERT_TRUE(queue.Push(7));
+  ASSERT_TRUE(queue.Push(8));
+  EXPECT_EQ(queue.TryPop(), std::optional<int>(7));
+  ASSERT_TRUE(queue.Push(9));  // TryPop freed a slot
+  queue.Close();
+  EXPECT_EQ(queue.TryPop(), std::optional<int>(8));
+  EXPECT_EQ(queue.TryPop(), std::optional<int>(9));
+  EXPECT_FALSE(queue.TryPop().has_value());
 }
 
 }  // namespace
