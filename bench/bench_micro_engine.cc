@@ -8,7 +8,9 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <string_view>
+#include <vector>
 
 #include "bench_util.h"
 #include "obs/sampler.h"
@@ -218,6 +220,73 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
+// Feature-on / feature-off wall-time ratio, measured so that host steal on
+// a shared machine does not decide it. `run(iters, on)` runs one batch.
+// Both paths are warmed, the batch size is calibrated to >= 0.05 s, and
+// then kPairs adjacent off/on pairs run, the order alternating so neither
+// side always goes second. The ratio is the median of the per-pair ratios:
+// a steal burst spoils the one or two pairs it overlaps, where a per-side
+// minimum could pair a lucky "off" batch with an unlucky "on" batch met
+// seconds apart.
+struct OverheadRatio {
+  double ratio = 0;
+  int64_t iters = 0;
+  double median_off = 0;  // seconds per batch
+  double median_on = 0;
+};
+
+constexpr int kPairs = 21;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+Result<OverheadRatio> MeasureOverheadRatio(
+    const std::function<Status(int64_t, bool)>& run) {
+  auto run_batch = [&](int64_t iters, bool on) -> Result<double> {
+    const auto t0 = std::chrono::steady_clock::now();
+    DISTME_RETURN_NOT_OK(run(iters, on));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  // Warm both paths, then size the batch on the faster of two tries, so
+  // one slow batch cannot stop the calibration early.
+  DISTME_RETURN_NOT_OK(run(1, false));
+  DISTME_RETURN_NOT_OK(run(1, true));
+  OverheadRatio out;
+  out.iters = 1;
+  for (;;) {
+    DISTME_ASSIGN_OR_RETURN(double first, run_batch(out.iters, false));
+    DISTME_ASSIGN_OR_RETURN(double second, run_batch(out.iters, false));
+    if (std::min(first, second) >= 0.05 || out.iters >= (int64_t{1} << 24)) {
+      break;
+    }
+    out.iters *= 2;
+  }
+  std::vector<double> ratios;
+  std::vector<double> offs;
+  std::vector<double> ons;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double off = 0;
+    double on = 0;
+    if (pair % 2 == 0) {
+      DISTME_ASSIGN_OR_RETURN(off, run_batch(out.iters, false));
+      DISTME_ASSIGN_OR_RETURN(on, run_batch(out.iters, true));
+    } else {
+      DISTME_ASSIGN_OR_RETURN(on, run_batch(out.iters, true));
+      DISTME_ASSIGN_OR_RETURN(off, run_batch(out.iters, false));
+    }
+    ratios.push_back(on / off);
+    offs.push_back(off);
+    ons.push_back(on);
+  }
+  out.ratio = Median(ratios);
+  out.median_on = Median(ons);
+  return out;
+}
+
 // Deterministic sampler-overhead measurement for the bench baseline
 // (scripts/bench_baseline.py). Runs the same simulated-executor workload
 // twice — sampler off, then sampler on at 1 ms — and records the elapsed
@@ -240,64 +309,38 @@ int RunSamplerOverheadOnly(bench::BenchObs* obs) {
   options.mode = engine::ComputeMode::kGpuStreaming;
   obs->Wire(&options);
 
-  auto run_batch = [&](int64_t iters) -> Result<double> {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int64_t i = 0; i < iters; ++i) {
-      DISTME_ASSIGN_OR_RETURN(engine::MMReport report,
-                              executor.Run(p, method, options));
-      benchmark::DoNotOptimize(report);
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  // Calibrate the iteration count to >= ~0.2 s per batch so a batch
-  // dominates per-call overhead without making the repetitions slow.
-  int64_t iters = 1;
-  for (;;) {
-    auto elapsed = run_batch(iters);
-    if (!elapsed.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   elapsed.status().ToString().c_str());
-      return 1;
-    }
-    if (*elapsed >= 0.2 || iters >= (int64_t{1} << 24)) break;
-    iters *= 2;
-  }
-
-  // Alternate off/on batches and keep the best (minimum) time per side:
-  // the minimum is the run least disturbed by unrelated machine noise, so
-  // the ratio isolates the sampler's own cost instead of scheduler luck.
   // 10 ms is already 100x a scrape-style period; it bounds the overhead
   // from above while staying out of the degenerate busy-loop regime.
   obs::Sampler sampler(obs->metrics(), obs->comm(),
                        obs::SamplerOptions{/*period_ms=*/10,
                                            /*max_samples=*/100000});
-  constexpr int kReps = 5;
-  double best_off = 0;
-  double best_on = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto off = run_batch(iters);
-    if (!off.ok()) return 1;
-    sampler.Start();
-    auto on = run_batch(iters);
-    sampler.Stop();
-    if (!on.ok()) return 1;
-    if (rep == 0 || *off < best_off) best_off = *off;
-    if (rep == 0 || *on < best_on) best_on = *on;
-  }
+  auto run_batch = [&](int64_t iters, bool on) -> Status {
+    if (on) sampler.Start();
+    for (int64_t i = 0; i < iters; ++i) {
+      DISTME_ASSIGN_OR_RETURN(engine::MMReport report,
+                              executor.Run(p, method, options));
+      benchmark::DoNotOptimize(report);
+    }
+    if (on) sampler.Stop();
+    return Status::OK();
+  };
 
-  const double ratio = best_on / best_off;
-  std::printf("sampler overhead: %lld iters x %d reps, best off %.3fs, "
-              "best on %.3fs (ratio %.4f, %lld samples)\n",
-              static_cast<long long>(iters), kReps, best_off, best_on, ratio,
+  auto measured = MeasureOverheadRatio(run_batch);
+  if (!measured.ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 measured.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("sampler overhead: %lld iters x %d pairs, median off %.3fs, "
+              "median on %.3fs (ratio %.4f, %lld samples)\n",
+              static_cast<long long>(measured->iters), kPairs,
+              measured->median_off, measured->median_on, measured->ratio,
               static_cast<long long>(sampler.total_samples()));
-  obs->AddResult("sampler_overhead_ratio", ratio);
+  obs->AddResult("sampler_overhead_ratio", measured->ratio);
   return 0;
 }
 
-// Analyzer-overhead measurement, same min-of-alternating-reps shape as
+// Analyzer-overhead measurement, same paired-median estimator as
 // RunSamplerOverheadOnly. The "on" side wires a flight ring into the real
 // executor, which then emits the full causal timeline (task start/finish,
 // fetch/gpu dependency edges, block fetch/emit, stage barriers) — the cost
@@ -329,50 +372,22 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
   obs->Wire(&options);
   obs::FlightRecorder flight(2048);
 
-  auto run_batch = [&](int64_t iters, bool analyzer) -> Result<double> {
+  auto run_batch = [&](int64_t iters, bool analyzer) -> Status {
     options.flight = analyzer ? &flight : nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
     for (int64_t i = 0; i < iters; ++i) {
       DISTME_ASSIGN_OR_RETURN(engine::RealRunResult result,
                               executor.Run(a, b, method, options));
       DISTME_RETURN_NOT_OK(result.report.outcome);
       benchmark::DoNotOptimize(result.report.num_tasks);
     }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return Status::OK();
   };
 
-  int64_t iters = 1;
-  for (;;) {
-    auto elapsed = run_batch(iters, /*analyzer=*/false);
-    if (!elapsed.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   elapsed.status().ToString().c_str());
-      return 1;
-    }
-    if (*elapsed >= 0.2 || iters >= (int64_t{1} << 20)) break;
-    iters *= 2;
-  }
-
-  // Calibration only exercised the analyzer-off path; warm the analyzer-on
-  // path too (ring pages, fetch-event branches) so rep 0 is not biased.
-  if (auto warm = run_batch(iters, /*analyzer=*/true); !warm.ok()) {
+  auto measured = MeasureOverheadRatio(run_batch);
+  if (!measured.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
-                 warm.status().ToString().c_str());
+                 measured.status().ToString().c_str());
     return 1;
-  }
-
-  constexpr int kReps = 5;
-  double best_off = 0;
-  double best_on = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto off = run_batch(iters, /*analyzer=*/false);
-    if (!off.ok()) return 1;
-    auto on = run_batch(iters, /*analyzer=*/true);
-    if (!on.ok()) return 1;
-    if (rep == 0 || *off < best_off) best_off = *off;
-    if (rep == 0 || *on < best_on) best_on = *on;
   }
 
   // Sanity-check the analysis the timeline feeds: the last run in the ring
@@ -391,13 +406,14 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
   // a measured ratio below 1.0 is that noise (emitting events cannot make
   // the run faster), so the recorded ratio is floored at 1.0 — the
   // baseline's one-sided question is only "did emission get expensive".
-  const double raw_ratio = best_on / best_off;
+  const double raw_ratio = measured->ratio;
   const double ratio = std::max(1.0, raw_ratio);
-  std::printf("analyzer overhead: %lld iters x %d reps, best off %.3fs, "
-              "best on %.3fs (ratio %.4f raw %.4f, path %lld us over "
+  std::printf("analyzer overhead: %lld iters x %d pairs, median off %.3fs, "
+              "median on %.3fs (ratio %.4f raw %.4f, path %lld us over "
               "%zu tasks)\n",
-              static_cast<long long>(iters), kReps, best_off, best_on, ratio,
-              raw_ratio, static_cast<long long>(analysis.path_us),
+              static_cast<long long>(measured->iters), kPairs,
+              measured->median_off, measured->median_on, ratio, raw_ratio,
+              static_cast<long long>(analysis.path_us),
               analysis.tasks.size());
   obs->AddResult("analyzer_overhead_ratio", ratio);
   return 0;
@@ -503,7 +519,7 @@ int RunPipelineOverlapOnly(bench::BenchObs* obs, int prefetch_depth) {
   return 0;
 }
 
-// GPU-observability overhead, same min-of-alternating-reps shape as the
+// GPU-observability overhead, same paired-median estimator as the
 // sampler/analyzer measurements. The workload is Algorithm 1 itself
 // (RunCuboidOnGpu on a software device); the "on" side attaches a flight
 // ring to the device so every H2D chunk, B-block copy, kernel launch, and
@@ -536,9 +552,8 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
   obs::FlightRecorder flight(4096);
   const auto box = mm::VoxelSet::Box(0, 4, 0, 4, 0, 6);
 
-  auto run_batch = [&](int64_t iters, bool attached) -> Result<double> {
+  auto run_batch = [&](int64_t iters, bool attached) -> Status {
     device.AttachFlight(attached ? &flight : nullptr, 0, 0);
-    const auto t0 = std::chrono::steady_clock::now();
     for (int64_t i = 0; i < iters; ++i) {
       DISTME_ASSIGN_OR_RETURN(
           gpumm::GpuCuboidResult result,
@@ -546,38 +561,14 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
                                 4 * kMiB));
       benchmark::DoNotOptimize(result.stats.kernel_calls);
     }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return Status::OK();
   };
 
-  int64_t iters = 1;
-  for (;;) {
-    auto elapsed = run_batch(iters, /*attached=*/false);
-    if (!elapsed.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   elapsed.status().ToString().c_str());
-      return 1;
-    }
-    if (*elapsed >= 0.2 || iters >= (int64_t{1} << 20)) break;
-    iters *= 2;
-  }
-  if (auto warm = run_batch(iters, /*attached=*/true); !warm.ok()) {
+  auto measured = MeasureOverheadRatio(run_batch);
+  if (!measured.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
-                 warm.status().ToString().c_str());
+                 measured.status().ToString().c_str());
     return 1;
-  }
-
-  constexpr int kReps = 5;
-  double best_off = 0;
-  double best_on = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto off = run_batch(iters, /*attached=*/false);
-    if (!off.ok()) return 1;
-    auto on = run_batch(iters, /*attached=*/true);
-    if (!on.ok()) return 1;
-    if (rep == 0 || *off < best_off) best_off = *off;
-    if (rep == 0 || *on < best_on) best_on = *on;
   }
 
   // Sanity-check what the instrumentation produced: the snapshot must yield
@@ -602,12 +593,13 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
 
   // Floored at 1.0 like the analyzer ratio: emission cannot speed up the
   // run, so a sub-1.0 measurement is scheduler noise.
-  const double raw_ratio = best_on / best_off;
+  const double raw_ratio = measured->ratio;
   const double ratio = std::max(1.0, raw_ratio);
-  std::printf("gpu-obs overhead: %lld iters x %d reps, best off %.3fs, "
-              "best on %.3fs (ratio %.4f raw %.4f, %zu devices)\n",
-              static_cast<long long>(iters), kReps, best_off, best_on, ratio,
-              raw_ratio, analysis.devices.size());
+  std::printf("gpu-obs overhead: %lld iters x %d pairs, median off %.3fs, "
+              "median on %.3fs (ratio %.4f raw %.4f, %zu devices)\n",
+              static_cast<long long>(measured->iters), kPairs,
+              measured->median_off, measured->median_on, ratio, raw_ratio,
+              analysis.devices.size());
   obs->AddResult("gpu_obs_overhead_ratio", ratio);
   return 0;
 }

@@ -29,9 +29,9 @@ import tempfile
 # identical on every machine. Wall-clock benches (bench_fig7_systems etc.)
 # are excluded on purpose. The two ratios below are the exception that
 # proves the rule: *_overhead_ratio keys are wall-clock derived but
-# scale-free (feature-on time / feature-off time, min-of-alternating-reps),
-# so ~1.0 on any machine — drift beyond tolerance means the sampler or the
-# critical-path analyzer got expensive.
+# scale-free (feature-on time / feature-off time, the median of adjacent
+# on/off pair ratios), so ~1.0 on any machine — drift beyond tolerance
+# means the sampler or the critical-path analyzer got expensive.
 BENCHES = [
     ("bench_table2_costs", []),
     ("bench_validation_real", []),

@@ -5,6 +5,18 @@
 
 namespace distme::blas {
 
+namespace {
+
+// The elements of `block` as a row-major array: a dense block's own
+// payload, or a sparse block densified into `*storage`.
+const double* DenseData(const Block& block, DenseMatrix* storage) {
+  if (block.IsDense()) return block.dense().data();
+  *storage = block.sparse().ToDense();
+  return storage->data();
+}
+
+}  // namespace
+
 Status MultiplyAccumulate(const Block& a, const Block& b, DenseMatrix* acc) {
   if (a.cols() != b.rows()) {
     return Status::Invalid("inner dimensions do not match");
@@ -53,11 +65,11 @@ Result<Block> ElementWise(ElementWiseOp op, const Block& a, const Block& b,
     return Block::Sparse(std::move(csr));
   }
 
-  DenseMatrix da = a.ToDense();
-  DenseMatrix db = b.ToDense();
+  DenseMatrix da;
+  DenseMatrix db;
+  const double* pa = DenseData(a, &da);
+  const double* pb = DenseData(b, &db);
   DenseMatrix out(a.rows(), a.cols());
-  const double* pa = da.data();
-  const double* pb = db.data();
   double* po = out.mutable_data();
   const int64_t n = out.num_elements();
   switch (op) {
@@ -82,8 +94,8 @@ Result<Block> AddBlocks(const Block& a, const Block& b) {
     return Status::Invalid("cannot add blocks of different shapes");
   }
   // Zero blocks are common during aggregation; skip the work.
-  if (a.nnz() == 0) return b;
-  if (b.nnz() == 0) return a;
+  if (a.IsZero()) return b;
+  if (b.IsZero()) return a;
   if (a.IsSparse() && b.IsSparse()) {
     std::vector<Triplet> triplets;
     triplets.reserve(static_cast<size_t>(a.nnz() + b.nnz()));
@@ -100,6 +112,27 @@ Result<Block> AddBlocks(const Block& a, const Block& b) {
     return Block::Sparse(std::move(csr));
   }
   return ElementWise(ElementWiseOp::kAdd, a, b);
+}
+
+Status AddInto(Block* acc, Block partial) {
+  if (acc->rows() != partial.rows() || acc->cols() != partial.cols()) {
+    return Status::Invalid("cannot add blocks of different shapes");
+  }
+  // AddBlocks' zero-operand shortcut: the result is the other operand.
+  if (acc->IsZero()) {
+    *acc = std::move(partial);
+    return Status::OK();
+  }
+  if (partial.IsZero()) return Status::OK();
+  if (acc->IsDense() && partial.IsDense()) {
+    double* po = acc->MutableDense().mutable_data();
+    const double* pb = partial.dense().data();
+    const int64_t n = partial.dense().num_elements();
+    for (int64_t i = 0; i < n; ++i) po[i] += pb[i];
+    return Status::OK();
+  }
+  DISTME_ASSIGN_OR_RETURN(*acc, AddBlocks(*acc, partial));
+  return Status::OK();
 }
 
 Block TransposeBlock(const Block& block) {

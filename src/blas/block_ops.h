@@ -32,6 +32,11 @@ enum class ElementWiseOp { kAdd, kSub, kMul, kDiv };
 /// \brief Adds two blocks (the aggregation-step reducer).
 [[nodiscard]] Result<Block> AddBlocks(const Block& a, const Block& b);
 
+/// \brief *acc = AddBlocks(*acc, partial), bit for bit, without the copies:
+/// two dense blocks are summed in `acc`'s own buffer (cloned first if
+/// another Block shares it); every other format mix calls AddBlocks.
+[[nodiscard]] Status AddInto(Block* acc, Block partial);
+
 /// \brief Block transpose.
 Block TransposeBlock(const Block& block);
 

@@ -26,7 +26,7 @@ Result<BlockGrid> LocalMultiply(const BlockGrid& a, const BlockGrid& b) {
             MultiplyAccumulate(a.Get({i, k}), b.Get({k, j}), &acc));
         any = true;
       }
-      if (any && acc.CountNonZeros() > 0) {
+      if (any && acc.AnyNonZero()) {
         DISTME_RETURN_NOT_OK(c.Put({i, j}, Block::Dense(std::move(acc))));
       }
     }

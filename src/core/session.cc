@@ -119,7 +119,7 @@ Result<Matrix> Session::Generate(const GeneratorOptions& generator) {
   for (int64_t i = 0; i < block_rows; ++i) {
     for (int64_t j = 0; j < block_cols; ++j) {
       Block b = GenerateUniformBlock(generator, i, j);
-      if (b.nnz() > 0) {
+      if (!b.IsZero()) {
         DISTME_RETURN_NOT_OK(dist->Put({i, j}, std::move(b)));
       }
     }
@@ -273,7 +273,7 @@ Result<Matrix> Session::ElementWise(blas::ElementWiseOp op, const Matrix& a,
       status = combined.status();
       return;
     }
-    if (combined->nnz() > 0) {
+    if (!combined->IsZero()) {
       Status st = out->Put(idx, std::move(*combined));
       if (!st.ok()) status = std::move(st);
     }
@@ -290,7 +290,7 @@ Result<Matrix> Session::ElementWise(blas::ElementWiseOp op, const Matrix& a,
         return;
       }
       (void)node;
-      if (combined->nnz() > 0) {
+      if (!combined->IsZero()) {
         Status st = out->Put(idx, std::move(*combined));
         if (!st.ok()) status = std::move(st);
       }

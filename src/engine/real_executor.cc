@@ -1,14 +1,11 @@
 #include "engine/real_executor.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +13,7 @@
 #include "cluster/memory_tracker.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "engine/aggregation.h"
 #include "engine/pipeline.h"
 #include "gpu/device.h"
 #include "gpumm/streaming.h"
@@ -257,17 +255,9 @@ class RealExecutor::Impl {
         BlockedShape{a.shape().rows, b.shape().cols, a.shape().block_size},
         config_.num_nodes, Partitioner::Hash(config_.num_nodes));
 
-    // Aggregation state: partial C blocks keyed by (i, j), each holding its
-    // contributions keyed by k_origin. The finalize step merges every
-    // block's partials in ascending k_origin, making the reduction order —
-    // and the result bits — deterministic no matter which worker, attempt,
-    // or emit thread delivered each partial first.
-    constexpr size_t kShards = 64;
-    std::array<std::mutex, kShards> agg_mutexes;
-    std::array<
-        std::unordered_map<BlockIndex, std::map<int64_t, Block>, BlockIndexHash>,
-        kShards>
-        agg_partials;
+    // Aggregation state: partial C blocks keyed by (i, j) and k_origin,
+    // reduced in ascending k_origin by the finalize step.
+    PartialTable agg_partials;
 
     std::atomic<int64_t> next_task{0};
     std::mutex failure_mutex;
@@ -363,7 +353,7 @@ class RealExecutor::Impl {
       if (!needs_agg) {
         // Final block — write in place (output writes are not part of the
         // shuffle cost, matching Table 2's zero aggregation for BMM).
-        if (block.nnz() == 0) return Status::OK();
+        if (block.IsZero()) return Status::OK();
         return output->Put(idx, std::move(block));
       }
       const int reducer_node = output->NodeOf(idx);
@@ -388,20 +378,7 @@ class RealExecutor::Impl {
                                   DeserializeBlock(SerializeBlock(block)));
         }
       }
-      const size_t shard = BlockIndexHash()(idx) % kShards;
-      std::lock_guard<std::mutex> lock(agg_mutexes[shard]);
-      auto& by_k = agg_partials[shard][idx];
-      auto it = by_k.find(k_origin);
-      if (it == by_k.end()) {
-        by_k.emplace(k_origin, std::move(block));
-        return Status::OK();
-      }
-      // Same (block, k_origin) twice — not produced by any current method,
-      // but reduce defensively rather than dropping a partial.
-      DISTME_ASSIGN_OR_RETURN(Block summed,
-                              blas::AddBlocks(it->second, block));
-      it->second = std::move(summed);
-      return Status::OK();
+      return agg_partials.Add(idx, k_origin, std::move(block));
     };
 
     // Compute phase of one attempt: consumes the staged inputs, buffers the
@@ -441,7 +418,7 @@ class RealExecutor::Impl {
             for (int64_t k = box.k0(); k < box.k1(); ++k) {
               const Block& ab = inputs.A(i, k);
               const Block& bb = inputs.B(k, j);
-              if (ab.nnz() == 0 || bb.nnz() == 0) continue;
+              if (ab.IsZero() || bb.IsZero()) continue;
               if (mode == ComputeMode::kGpuBlock) {
                 DISTME_RETURN_NOT_OK(
                     RunBlockKernel(node, task.id, ab, bb, &acc, &gpu_seconds));
@@ -449,7 +426,7 @@ class RealExecutor::Impl {
                 DISTME_RETURN_NOT_OK(blas::MultiplyAccumulate(ab, bb, &acc));
               }
             }
-            if (acc.CountNonZeros() > 0) {
+            if (acc.AnyNonZero()) {
               outputs->push_back(PendingEmit{BlockIndex{i, j},
                                              Block::Dense(std::move(acc)),
                                              box.k0()});
@@ -466,14 +443,14 @@ class RealExecutor::Impl {
           if (!voxel_status.ok()) return;
           const Block& ab = inputs.A(v.i, v.k);
           const Block& bb = inputs.B(v.k, v.j);
-          if (ab.nnz() == 0 || bb.nnz() == 0) return;
+          if (ab.IsZero() || bb.IsZero()) return;
           DenseMatrix acc(a.shape().BlockRowsAt(v.i),
                           b.shape().BlockColsAt(v.j));
           Status st =
               mode == ComputeMode::kGpuBlock
                   ? RunBlockKernel(node, task.id, ab, bb, &acc, &gpu_seconds)
                   : blas::MultiplyAccumulate(ab, bb, &acc);
-          if (st.ok() && acc.CountNonZeros() > 0) {
+          if (st.ok() && acc.AnyNonZero()) {
             outputs->push_back(PendingEmit{BlockIndex{v.i, v.j},
                                            Block::Dense(std::move(acc)),
                                            v.k});
@@ -961,9 +938,9 @@ class RealExecutor::Impl {
       return result;
     }
 
-    // Aggregation finalize: merge every output block's partials in
-    // ascending k_origin (deterministic reduction order), then move the
-    // reduced blocks into the output matrix.
+    // Aggregation finalize: reduce every output block's partials in
+    // ascending k_origin (deterministic reduction order), in parallel over
+    // output blocks, and move the totals into the output matrix.
     Stopwatch agg_clock;
     if (flight != nullptr && needs_agg) {
       flight->Record(obs::FlightEventType::kStageBegin, /*node=*/-1,
@@ -973,19 +950,10 @@ class RealExecutor::Impl {
       obs::Tracer::ScopedTrack track(driver_pid, 0);
       obs::TraceSpan agg_span(tracer, "aggregate.finalize", "shuffle");
       if (needs_agg) {
-        for (size_t shard = 0; shard < kShards; ++shard) {
-          for (auto& [idx, by_k] : agg_partials[shard]) {
-            auto it = by_k.begin();
-            Block total = std::move(it->second);
-            for (++it; it != by_k.end(); ++it) {
-              DISTME_ASSIGN_OR_RETURN(total,
-                                      blas::AddBlocks(total, it->second));
-            }
-            if (total.nnz() == 0) continue;
-            DISTME_RETURN_NOT_OK(output->Put(idx, std::move(total)));
-          }
-          agg_partials[shard].clear();
-        }
+        DISTME_RETURN_NOT_OK(agg_partials.Reduce(
+            config_.total_slots(), [&](BlockIndex idx, Block total) {
+              return output->Put(idx, std::move(total));
+            }));
       } else {
         agg_span.Cancel();
       }

@@ -23,9 +23,22 @@ Block Block::Zero(int64_t rows, int64_t cols) {
   return Sparse(std::move(empty));
 }
 
+DenseMatrix& Block::MutableDense() {
+  auto& payload = std::get<std::shared_ptr<DenseMatrix>>(payload_);
+  if (payload.use_count() > 1) {
+    payload = std::make_shared<DenseMatrix>(*payload);
+  }
+  return *payload;
+}
+
 int64_t Block::nnz() const {
   if (empty()) return 0;
   return IsDense() ? dense().CountNonZeros() : sparse().nnz();
+}
+
+bool Block::IsZero() const {
+  if (empty()) return true;
+  return IsDense() ? !dense().AnyNonZero() : sparse().nnz() == 0;
 }
 
 int64_t Block::SizeBytes() const {

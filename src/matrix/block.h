@@ -79,8 +79,17 @@ class Block {
     return *std::get<std::shared_ptr<CsrMatrix>>(payload_);
   }
 
+  /// \brief Dense payload for writing; requires IsDense(). A payload shared
+  /// with another Block is cloned first (copy-on-write), so a write through
+  /// it is never seen by a copy of this block.
+  DenseMatrix& MutableDense();
+
   /// \brief Number of stored non-zeros (dense blocks count actual non-zeros).
   int64_t nnz() const;
+
+  /// \brief Same as nnz() == 0, but a dense block stops scanning at its
+  /// first non-zero.
+  bool IsZero() const;
 
   /// \brief Serialized/in-memory footprint in bytes.
   int64_t SizeBytes() const;

@@ -17,6 +17,13 @@ int64_t DenseMatrix::CountNonZeros() const {
   return nnz;
 }
 
+bool DenseMatrix::AnyNonZero() const {
+  for (double v : data_) {
+    if (v != 0.0) return true;
+  }
+  return false;
+}
+
 double DenseMatrix::FrobeniusNorm() const {
   double sum = 0.0;
   for (double v : data_) sum += v * v;

@@ -48,6 +48,10 @@ class DenseMatrix {
   /// \brief Number of non-zero elements.
   int64_t CountNonZeros() const;
 
+  /// \brief True if some element is non-zero (NaN counts, -0.0 does not);
+  /// stops at the first one, unlike CountNonZeros() > 0.
+  bool AnyNonZero() const;
+
   /// \brief Fraction of non-zero elements in [0, 1].
   double Sparsity() const {
     return num_elements() == 0

@@ -87,7 +87,7 @@ BlockGrid GenerateUniform(const GeneratorOptions& options) {
   for (int64_t i = 0; i < grid.block_rows(); ++i) {
     for (int64_t j = 0; j < grid.block_cols(); ++j) {
       Block b = GenerateUniformBlock(options, i, j);
-      if (b.nnz() > 0) {
+      if (!b.IsZero()) {
         DISTME_CHECK_OK(grid.Put({i, j}, std::move(b)));
       }
     }

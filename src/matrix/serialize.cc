@@ -128,26 +128,11 @@ Result<Block> DeserializeBlock(const std::vector<uint8_t>& buffer) {
   DISTME_RETURN_NOT_OK(reader.ReadVector(&row_ptr));
   DISTME_RETURN_NOT_OK(reader.ReadVector(&col_idx));
   DISTME_RETURN_NOT_OK(reader.ReadVector(&values));
-  if (row_ptr.size() != static_cast<size_t>(rows) + 1 ||
-      col_idx.size() != values.size()) {
-    return Status::IOError("sparse payload size mismatch");
-  }
-  // Rebuild via triplets to validate index ranges.
-  std::vector<Triplet> triplets;
-  triplets.reserve(values.size());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      if (k < 0 || static_cast<size_t>(k) >= values.size()) {
-        return Status::IOError("corrupt CSR row pointers");
-      }
-      triplets.push_back({r, col_idx[static_cast<size_t>(k)],
-                          values[static_cast<size_t>(k)]});
-    }
-  }
-  DISTME_ASSIGN_OR_RETURN(CsrMatrix csr,
-                          CsrMatrix::FromTriplets(rows, cols,
-                                                  std::move(triplets)));
-  return Block::Sparse(std::move(csr));
+  Result<CsrMatrix> csr =
+      CsrMatrix::FromParts(rows, cols, std::move(row_ptr), std::move(col_idx),
+                           std::move(values));
+  if (!csr.ok()) return Status::IOError(csr.status().message());
+  return Block::Sparse(std::move(csr).ValueOrDie());
 }
 
 int64_t SerializedBlockBytes(const Block& block) {

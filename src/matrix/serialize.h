@@ -19,6 +19,10 @@ namespace distme {
 std::vector<uint8_t> SerializeBlock(const Block& block);
 
 /// \brief Parses a buffer produced by SerializeBlock.
+///
+/// A CSR payload is validated, not rebuilt: it must hold the invariants of
+/// CsrMatrix::FromParts. An encoding with unsorted or duplicate columns in
+/// a row, or a stored ±0, returns an IOError; it is never repaired.
 [[nodiscard]] Result<Block> DeserializeBlock(const std::vector<uint8_t>& buffer);
 
 /// \brief Exact number of bytes SerializeBlock would produce, without

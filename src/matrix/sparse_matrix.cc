@@ -57,6 +57,45 @@ Result<CsrMatrix> CsrMatrix::FromTriplets(int64_t rows, int64_t cols,
   return m;
 }
 
+Result<CsrMatrix> CsrMatrix::FromParts(int64_t rows, int64_t cols,
+                                       std::vector<int64_t> row_ptr,
+                                       std::vector<int64_t> col_idx,
+                                       std::vector<double> values) {
+  if (rows < 0 || cols < 0) return Status::Invalid("negative dimensions");
+  const auto nnz = static_cast<int64_t>(values.size());
+  if (row_ptr.size() != static_cast<size_t>(rows) + 1 ||
+      col_idx.size() != values.size()) {
+    return Status::Invalid("CSR array lengths do not match");
+  }
+  if (row_ptr.front() != 0 || row_ptr.back() != nnz) {
+    return Status::Invalid("CSR row pointers do not span the entries");
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t begin = row_ptr[static_cast<size_t>(r)];
+    const int64_t end = row_ptr[static_cast<size_t>(r) + 1];
+    if (end < begin) return Status::Invalid("CSR row pointers decrease");
+    for (int64_t k = begin; k < end; ++k) {
+      const int64_t c = col_idx[static_cast<size_t>(k)];
+      if (c < 0 || c >= cols) {
+        return Status::Invalid("CSR column index out of range");
+      }
+      if (k > begin && c <= col_idx[static_cast<size_t>(k) - 1]) {
+        return Status::Invalid("CSR columns not strictly increasing");
+      }
+      if (values[static_cast<size_t>(k)] == 0.0) {
+        return Status::Invalid("CSR stores an explicit zero");
+      }
+    }
+  }
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 CsrMatrix CsrMatrix::FromDense(const DenseMatrix& dense) {
   CsrMatrix m;
   m.rows_ = dense.rows();

@@ -28,6 +28,15 @@ class CsrMatrix {
   [[nodiscard]] static Result<CsrMatrix> FromTriplets(int64_t rows, int64_t cols,
                                         std::vector<Triplet> triplets);
 
+  /// \brief Adopts CSR arrays that already hold the invariants FromTriplets
+  /// builds: row_ptr has rows + 1 entries, starts at 0, never decreases and
+  /// ends at nnz; columns are in range and strictly increasing within a
+  /// row; no value is ±0. Returns Invalid, without repairing, otherwise.
+  [[nodiscard]] static Result<CsrMatrix> FromParts(int64_t rows, int64_t cols,
+                                     std::vector<int64_t> row_ptr,
+                                     std::vector<int64_t> col_idx,
+                                     std::vector<double> values);
+
   /// \brief Converts a dense matrix, keeping only non-zero entries.
   static CsrMatrix FromDense(const DenseMatrix& dense);
 

@@ -410,6 +410,113 @@ TEST(BlockOpsTest, AddBlocksSparseSparse) {
   EXPECT_LT(DenseMatrix::MaxAbsDiff(sum->ToDense(), expected), 1e-12);
 }
 
+// Same format, shape and stored bits (NaN payloads and zero signs count).
+bool SameBits(const Block& x, const Block& y) {
+  if (x.format() != y.format() || x.rows() != y.rows() ||
+      x.cols() != y.cols()) {
+    return false;
+  }
+  auto same_doubles = [](const std::vector<double>& u,
+                         const std::vector<double>& v) {
+    return u.size() == v.size() &&
+           (u.empty() ||
+            std::memcmp(u.data(), v.data(), u.size() * sizeof(double)) == 0);
+  };
+  if (x.IsDense()) {
+    const DenseMatrix& a = x.dense();
+    const DenseMatrix& b = y.dense();
+    return std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.SizeBytes())) == 0;
+  }
+  return x.sparse().row_ptr() == y.sparse().row_ptr() &&
+         x.sparse().col_idx() == y.sparse().col_idx() &&
+         same_doubles(x.sparse().values(), y.sparse().values());
+}
+
+// Every format mix, an all-zero operand on either side (dense zeros of
+// either sign, and an empty CSR), and -0, NaN and Inf entries meeting
+// zeros, each other and finite values.
+std::vector<std::pair<std::string, Block>> AddIntoOperands() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  DenseMatrix special = RandomDense(4, 5, 70);
+  special.Set(0, 0, -0.0);
+  special.Set(0, 1, nan);
+  special.Set(0, 2, inf);
+  special.Set(1, 0, -inf);
+  special.Set(1, 1, 0.0);
+  DenseMatrix neg_zeros(4, 5);
+  neg_zeros.Fill(-0.0);
+  DenseMatrix opposite = RandomDense(4, 5, 71);
+  opposite.Set(0, 0, -0.0);
+  opposite.Set(0, 2, -inf);  // Inf + -Inf = NaN
+  opposite.Set(1, 1, -0.0);
+  std::vector<Triplet> sparse_special = {
+      {0, 0, -1.0}, {0, 2, nan}, {1, 1, inf}, {3, 4, 2.5}};
+  return {
+      {"dense", Block::Dense(RandomDense(4, 5, 72))},
+      {"dense_special", Block::Dense(special)},
+      {"dense_opposite", Block::Dense(opposite)},
+      {"dense_zero", Block::Dense(DenseMatrix(4, 5))},
+      {"dense_neg_zero", Block::Dense(neg_zeros)},
+      {"sparse", Block::Sparse(RandomSparse(4, 5, 0.4, 73))},
+      {"sparse_special",
+       Block::Sparse(*CsrMatrix::FromTriplets(4, 5, sparse_special))},
+      {"sparse_zero", Block::Zero(4, 5)},
+  };
+}
+
+// AddInto(acc, p) leaves exactly AddBlocks(acc, p) in acc, both when acc
+// owns its payload (the in-place path) and when a copy shares it — and the
+// copy taken before the call is unchanged after it.
+TEST(BlockOpsTest, AddIntoIsBitwiseAddBlocks) {
+  const auto operands = AddIntoOperands();
+  for (const auto& [a_name, a] : operands) {
+    for (const auto& [b_name, b] : operands) {
+      SCOPED_TRACE(a_name + " += " + b_name);
+      auto expected = AddBlocks(a, b);
+      ASSERT_TRUE(expected.ok());
+
+      Block owned = a.IsDense() ? Block::Dense(a.dense()) : a;
+      ASSERT_TRUE(AddInto(&owned, b).ok());
+      EXPECT_TRUE(SameBits(owned, *expected));
+
+      Block shared = a;
+      const Block before = a.IsDense() ? Block::Dense(a.dense()) : a;
+      ASSERT_TRUE(AddInto(&shared, b).ok());
+      EXPECT_TRUE(SameBits(shared, *expected));
+      EXPECT_TRUE(SameBits(a, before));
+    }
+  }
+}
+
+TEST(BlockOpsTest, AddIntoRejectsMismatchedShapes) {
+  Block acc = Block::Dense(RandomDense(4, 4, 74));
+  const Block before = Block::Dense(acc.dense());
+  EXPECT_FALSE(AddInto(&acc, Block::Dense(RandomDense(4, 5, 75))).ok());
+  EXPECT_TRUE(SameBits(acc, before));
+}
+
+TEST(BlockOpsTest, ElementWiseBitwiseAcrossFormats) {
+  // Dense operands are read in place and sparse ones densified; either way
+  // the result is the element-wise op on the densified operands.
+  const auto operands = AddIntoOperands();
+  for (const auto& [a_name, a] : operands) {
+    for (const auto& [b_name, b] : operands) {
+      SCOPED_TRACE(a_name + " - " + b_name);
+      auto diff = ElementWise(ElementWiseOp::kSub, a, b);
+      ASSERT_TRUE(diff.ok());
+      DenseMatrix da = a.ToDense();
+      DenseMatrix db = b.ToDense();
+      DenseMatrix expected(4, 5);
+      for (int64_t i = 0; i < expected.num_elements(); ++i) {
+        expected.mutable_data()[i] = da.data()[i] - db.data()[i];
+      }
+      EXPECT_TRUE(SameBits(*diff, Block::Dense(expected)));
+    }
+  }
+}
+
 TEST(BlockOpsTest, TransposeBlockBothFormats) {
   Block dense = Block::Dense(RandomDense(5, 7, 60));
   Block sparse = Block::Sparse(RandomSparse(5, 7, 0.3, 61));

@@ -232,48 +232,54 @@ TEST(PipelineTest, StagingBackpressureShrinksPrefetchAndStaysExact) {
 
 TEST(PipelineTest, WorkerCountDoesNotChangeBits) {
   // Deterministic k-order aggregation also makes results independent of
-  // worker count and scheduling order — at any depth.
+  // worker count, of the number of threads the finalize reduces on (one
+  // per task slot, up to one per output block) and of scheduling order —
+  // at any depth. 12 k blocks give every output block 12 partials under
+  // CPMM and RMM.
   GeneratorOptions ga;
   ga.rows = 56;
-  ga.cols = 40;
+  ga.cols = 96;
   ga.block_size = 8;
   ga.sparsity = 0.5;
   ga.seed = 31;
   GeneratorOptions gb = ga;
-  gb.rows = 40;
+  gb.rows = 96;
   gb.cols = 48;
   gb.seed = 32;
   const BlockGrid grid_a = GenerateUniform(ga);
   const BlockGrid grid_b = GenerateUniform(gb);
-  mm::CpmmMethod method;
-
-  DenseMatrix reference;
-  bool first = true;
   struct ClusterCase {
     int nodes;
     int slots;
     int depth;
   };
-  for (const ClusterCase& cc :
-       {ClusterCase{1, 1, 0}, ClusterCase{2, 3, 2}, ClusterCase{4, 2, 4}}) {
-    SCOPED_TRACE(std::to_string(cc.nodes) + " nodes x " +
-                 std::to_string(cc.slots) + " slots, depth " +
-                 std::to_string(cc.depth));
-    const ClusterConfig cluster = ClusterConfig::Local(cc.nodes, cc.slots);
-    DistributedMatrix a = DistributedMatrix::FromGridHashed(grid_a, cc.nodes);
-    DistributedMatrix b = DistributedMatrix::FromGridHashed(grid_b, cc.nodes);
-    RealExecutor executor(cluster);
-    RealOptions options;
-    options.prefetch_depth = cc.depth;
-    auto run = executor.Run(a, b, method, options);
-    ASSERT_TRUE(run.ok());
-    ASSERT_TRUE(run->report.outcome.ok()) << run->report.outcome;
-    const DenseMatrix dense = run->output->Collect().ToDense();
-    if (first) {
-      reference = dense;
-      first = false;
-    } else {
-      EXPECT_TRUE(BitIdentical(dense, reference));
+  for (const CaseMethod& cm : {CaseMethod{"CPMM", true, &MakeCpmm},
+                               CaseMethod{"RMM", true, &MakeRmm}}) {
+    std::unique_ptr<mm::Method> method = cm.make();
+    DenseMatrix reference;
+    bool first = true;
+    for (const ClusterCase& cc :
+         {ClusterCase{1, 1, 0}, ClusterCase{2, 2, 0}, ClusterCase{4, 2, 0},
+          ClusterCase{2, 3, 2}, ClusterCase{4, 2, 4}}) {
+      SCOPED_TRACE(std::string(cm.label) + " " + std::to_string(cc.nodes) +
+                   " nodes x " + std::to_string(cc.slots) + " slots, depth " +
+                   std::to_string(cc.depth));
+      const ClusterConfig cluster = ClusterConfig::Local(cc.nodes, cc.slots);
+      DistributedMatrix a = DistributedMatrix::FromGridHashed(grid_a, cc.nodes);
+      DistributedMatrix b = DistributedMatrix::FromGridHashed(grid_b, cc.nodes);
+      RealExecutor executor(cluster);
+      RealOptions options;
+      options.prefetch_depth = cc.depth;
+      auto run = executor.Run(a, b, *method, options);
+      ASSERT_TRUE(run.ok());
+      ASSERT_TRUE(run->report.outcome.ok()) << run->report.outcome;
+      const DenseMatrix dense = run->output->Collect().ToDense();
+      if (first) {
+        reference = dense;
+        first = false;
+      } else {
+        EXPECT_TRUE(BitIdentical(dense, reference));
+      }
     }
   }
 }

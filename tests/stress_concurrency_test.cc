@@ -9,14 +9,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/session.h"
+#include "engine/aggregation.h"
 #include "engine/real_executor.h"
 #include "gpu/device.h"
 #include "matrix/generator.h"
@@ -39,6 +42,81 @@ void RunOnThreads(const std::function<void(int)>& fn) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) threads.emplace_back(fn, t);
   for (auto& th : threads) th.join();
+}
+
+// Partials for a 6x5 grid of 4x4 output blocks, 9 k-origins each. Dense
+// values of both signs, so the fold order shows in the low bits; k = 3 of
+// block (1, 1) is all zero and (2, 2) receives nothing but zeros.
+void AddPartials(engine::PartialTable* table, int thread) {
+  for (int64_t i = 0; i < 6; ++i) {
+    for (int64_t j = 0; j < 5; ++j) {
+      for (int64_t k = thread; k < 9; k += kThreads) {
+        DenseMatrix d(4, 4);
+        const bool zero = (i == 2 && j == 2) || (i == 1 && j == 1 && k == 3);
+        if (!zero) {
+          Rng rng(static_cast<uint64_t>(1000 + 100 * i + 10 * j + k));
+          d = DenseMatrix::Random(4, 4, &rng, -1e3, 1e3);
+        }
+        ASSERT_TRUE(table->Add({i, j}, k, Block::Dense(std::move(d))).ok());
+      }
+    }
+  }
+}
+
+// Emitters fill the table from 8 threads; the finalize then reduces it on
+// 1..8 threads. Every thread count must put the same non-zero totals with
+// the same bits.
+TEST(StressConcurrencyTest, PartialTableReduceIsThreadCountIndependent) {
+  std::map<std::pair<int64_t, int64_t>, DenseMatrix> reference;
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " reduce threads");
+    engine::PartialTable table;
+    RunOnThreads([&](int t) { AddPartials(&table, t); });
+    std::mutex mu;
+    std::map<std::pair<int64_t, int64_t>, DenseMatrix> totals;
+    ASSERT_TRUE(table
+                    .Reduce(threads,
+                            [&](BlockIndex idx, Block total) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              totals[{idx.i, idx.j}] = total.ToDense();
+                              return Status::OK();
+                            })
+                    .ok());
+    EXPECT_EQ(totals.size(), 29u);  // (2, 2) sums to zero and is not put
+    EXPECT_EQ(totals.count({2, 2}), 0u);
+    if (reference.empty()) {
+      reference = std::move(totals);
+      continue;
+    }
+    for (const auto& [idx, dense] : totals) {
+      const DenseMatrix& want = reference.at(idx);
+      EXPECT_EQ(std::memcmp(dense.data(), want.data(),
+                            static_cast<size_t>(dense.SizeBytes())),
+                0);
+    }
+  }
+}
+
+// A put that fails for several blocks: Reduce returns (does not hang)
+// with the error of the lowest failing block index, whichever thread hit
+// it, and every partial is released (the ASan run checks for leaks).
+TEST(StressConcurrencyTest, PartialTableFailingPutReportsLowestBlock) {
+  for (int round = 0; round < 20; ++round) {
+    engine::PartialTable table;
+    RunOnThreads([&](int t) { AddPartials(&table, t); });
+    std::atomic<int> puts{0};
+    const Status st = table.Reduce(4, [&](BlockIndex idx, Block) {
+      puts.fetch_add(1);
+      if (idx.j == 3 && idx.i >= 1) {
+        return Status::IOError("put failed at (" + std::to_string(idx.i) +
+                               ", 3)");
+      }
+      return Status::OK();
+    });
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.message(), "put failed at (1, 3)");
+    EXPECT_EQ(puts.load(), 29);  // the other blocks still reduced
+  }
 }
 
 // --- MetricsRegistry --------------------------------------------------------
