@@ -283,6 +283,7 @@ Result<OverheadRatio> MeasureOverheadRatio(
     ons.push_back(on);
   }
   out.ratio = Median(ratios);
+  out.median_off = Median(offs);
   out.median_on = Median(ons);
   return out;
 }

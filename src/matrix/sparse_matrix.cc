@@ -73,7 +73,9 @@ Result<CsrMatrix> CsrMatrix::FromParts(int64_t rows, int64_t cols,
   for (int64_t r = 0; r < rows; ++r) {
     const int64_t begin = row_ptr[static_cast<size_t>(r)];
     const int64_t end = row_ptr[static_cast<size_t>(r) + 1];
-    if (end < begin) return Status::Invalid("CSR row pointers decrease");
+    if (end < begin || end > nnz) {
+      return Status::Invalid("CSR row pointers decrease or pass nnz");
+    }
     for (int64_t k = begin; k < end; ++k) {
       const int64_t c = col_idx[static_cast<size_t>(k)];
       if (c < 0 || c >= cols) {

@@ -254,6 +254,7 @@ TEST(SerializeTest, RejectsMalformedCsrEncodings) {
   const std::vector<Case> cases = {
       {"row_ptr[0] != 0", {1, 2, 3}, {0, 1, 2}, {1, 2, 3}},
       {"row_ptr decreases", {0, 3, 2}, {0, 1, 2}, {1, 2, 3}},
+      {"row end past nnz, then decreases", {0, 5, 3}, {0, 1, 2}, {1, 2, 3}},
       {"row_ptr[rows] != nnz", {0, 1, 2}, {0, 1, 2}, {1, 2, 3}},
       {"row_ptr past nnz", {0, 1, 4}, {0, 1, 2}, {1, 2, 3}},
       {"negative column", {0, 1, 3}, {-1, 0, 1}, {1, 2, 3}},
