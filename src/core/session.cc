@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "blas/local_mm.h"
 #include "common/logging.h"
+#include "engine/parallel_for.h"
 #include "matrix/store.h"
 #include "obs/export.h"
 #include "obs/prom_export.h"
@@ -116,14 +118,15 @@ Result<Matrix> Session::Generate(const GeneratorOptions& generator) {
       engine::Partitioner::Hash(options_.cluster.num_nodes));
   const int64_t block_rows = dist->shape().block_rows();
   const int64_t block_cols = dist->shape().block_cols();
-  for (int64_t i = 0; i < block_rows; ++i) {
-    for (int64_t j = 0; j < block_cols; ++j) {
-      Block b = GenerateUniformBlock(generator, i, j);
-      if (!b.IsZero()) {
-        DISTME_RETURN_NOT_OK(dist->Put({i, j}, std::move(b)));
-      }
-    }
-  }
+  DISTME_RETURN_NOT_OK(engine::ParallelFor(
+      static_cast<size_t>(block_rows * block_cols),
+      options_.cluster.total_slots(), [&](size_t k) {
+        const BlockIndex idx{static_cast<int64_t>(k) / block_cols,
+                             static_cast<int64_t>(k) % block_cols};
+        Block b = GenerateUniformBlock(generator, idx.i, idx.j);
+        if (b.IsZero()) return Status::OK();
+        return dist->Put(idx, std::move(b));
+      }));
   return Matrix(std::move(dist));
 }
 
@@ -229,14 +232,13 @@ Result<Matrix> Session::Transpose(const Matrix& a) {
       BlockedShape{a.shape().cols, a.shape().rows, a.shape().block_size},
       options_.cluster.num_nodes,
       engine::Partitioner::Hash(options_.cluster.num_nodes));
-  Status status = Status::OK();
-  a.distributed().ForEachBlock(
-      [&](int /*node*/, BlockIndex idx, const Block& block) {
-        if (!status.ok()) return;
-        Status st = out->Put({idx.j, idx.i}, blas::TransposeBlock(block));
-        if (!st.ok()) status = std::move(st);
-      });
-  DISTME_RETURN_NOT_OK(status);
+  const std::vector<engine::StoredBlock> blocks = a.distributed().Blocks();
+  DISTME_RETURN_NOT_OK(engine::ParallelFor(
+      blocks.size(), options_.cluster.total_slots(), [&](size_t k) {
+        const engine::StoredBlock& in = blocks[k];
+        return out->Put({in.index.j, in.index.i},
+                        blas::TransposeBlock(in.block));
+      }));
   return Matrix(std::move(out));
 }
 
@@ -248,54 +250,37 @@ Result<Matrix> Session::ElementWise(blas::ElementWiseOp op, const Matrix& a,
   auto out = std::make_shared<engine::DistributedMatrix>(
       a.shape(), options_.cluster.num_nodes,
       engine::Partitioner::Hash(options_.cluster.num_nodes));
-  const bool zero_preserving = op == blas::ElementWiseOp::kMul;
+  const int threads = options_.cluster.total_slots();
+  auto combine = [&](BlockIndex idx, const Block& ba,
+                     const Block& bb) -> Status {
+    DISTME_ASSIGN_OR_RETURN(Block combined,
+                            blas::ElementWise(op, ba, bb, epsilon));
+    if (combined.IsZero()) return Status::OK();
+    return out->Put(idx, std::move(combined));
+  };
 
-  // Cogroup-style: visit A's blocks in place, fetch the matching B block
+  // Cogroup-style: combine each of A's blocks with the matching B block
   // (same index — co-partitioned matrices fetch locally), then cover the
   // blocks present only in B when the op is not zero-preserving on A.
-  // Same-operand case (e.g. A ∘ A): the per-node lock is not reentrant, so
-  // combine each visited block with itself directly.
-  const bool same_operand = &a.distributed() == &b.distributed();
-
-  Status status = Status::OK();
-  a.distributed().ForEachBlock([&](int node, BlockIndex idx,
-                                   const Block& ba) {
-    if (!status.ok()) return;
-    Result<Block> bb = same_operand
-                           ? Result<Block>(ba)
-                           : b.distributed().Get(idx, node, nullptr);
-    if (!bb.ok()) {
-      status = bb.status();
-      return;
-    }
-    auto combined = blas::ElementWise(op, ba, *bb, epsilon);
-    if (!combined.ok()) {
-      status = combined.status();
-      return;
-    }
-    if (!combined->IsZero()) {
-      Status st = out->Put(idx, std::move(*combined));
-      if (!st.ok()) status = std::move(st);
-    }
-  });
-  DISTME_RETURN_NOT_OK(status);
-  if (!zero_preserving && !same_operand) {
-    b.distributed().ForEachBlock([&](int node, BlockIndex idx,
-                                     const Block& bb) {
-      if (!status.ok() || a.distributed().Has(idx)) return;
-      const Block za = Block::Zero(bb.rows(), bb.cols());
-      auto combined = blas::ElementWise(op, za, bb, epsilon);
-      if (!combined.ok()) {
-        status = combined.status();
-        return;
-      }
-      (void)node;
-      if (!combined->IsZero()) {
-        Status st = out->Put(idx, std::move(*combined));
-        if (!st.ok()) status = std::move(st);
-      }
+  const std::vector<engine::StoredBlock> a_blocks = a.distributed().Blocks();
+  DISTME_RETURN_NOT_OK(engine::ParallelFor(
+      a_blocks.size(), threads, [&](size_t k) -> Status {
+        const engine::StoredBlock& in = a_blocks[k];
+        DISTME_ASSIGN_OR_RETURN(
+            Block bb, b.distributed().Get(in.index, in.node, nullptr));
+        return combine(in.index, in.block, bb);
+      }));
+  if (op != blas::ElementWiseOp::kMul) {
+    std::vector<engine::StoredBlock> b_only = b.distributed().Blocks();
+    std::erase_if(b_only, [&](const engine::StoredBlock& in) {
+      return a.distributed().Has(in.index);
     });
-    DISTME_RETURN_NOT_OK(status);
+    DISTME_RETURN_NOT_OK(
+        engine::ParallelFor(b_only.size(), threads, [&](size_t k) {
+          const Block& bb = b_only[k].block;
+          return combine(b_only[k].index, Block::Zero(bb.rows(), bb.cols()),
+                         bb);
+        }));
   }
   return Matrix(std::move(out));
 }
@@ -304,14 +289,12 @@ Result<Matrix> Session::Scale(const Matrix& a, double factor) {
   auto out = std::make_shared<engine::DistributedMatrix>(
       a.shape(), options_.cluster.num_nodes,
       engine::Partitioner::Hash(options_.cluster.num_nodes));
-  Status status = Status::OK();
-  a.distributed().ForEachBlock(
-      [&](int /*node*/, BlockIndex idx, const Block& block) {
-        if (!status.ok()) return;
-        Status st = out->Put(idx, blas::ScaleBlock(block, factor));
-        if (!st.ok()) status = std::move(st);
-      });
-  DISTME_RETURN_NOT_OK(status);
+  const std::vector<engine::StoredBlock> blocks = a.distributed().Blocks();
+  DISTME_RETURN_NOT_OK(engine::ParallelFor(
+      blocks.size(), options_.cluster.total_slots(), [&](size_t k) {
+        return out->Put(blocks[k].index,
+                        blas::ScaleBlock(blocks[k].block, factor));
+      }));
   return Matrix(std::move(out));
 }
 
@@ -338,19 +321,38 @@ void ForEachElement(const Block& block, Fn&& fn) {
   }
 }
 
+// Sums term(v) over every stored element v: each block's partial on up to
+// `threads` threads, then the partials in ascending block index, so the bits
+// depend on the contents only — not on node count or insertion order.
+template <typename Term>
+Result<double> SumElements(const Matrix& a, int threads, Term&& term) {
+  const std::vector<engine::StoredBlock> blocks = a.distributed().Blocks();
+  std::vector<double> partials(blocks.size(), 0.0);
+  DISTME_RETURN_NOT_OK(
+      engine::ParallelFor(blocks.size(), threads, [&](size_t k) {
+        ForEachElement(blocks[k].block, [&](int64_t, int64_t, double v) {
+          partials[k] += term(v);
+        });
+        return Status::OK();
+      }));
+  double total = 0.0;
+  for (double partial : partials) total += partial;
+  return total;
+}
+
 }  // namespace
 
 Result<Matrix> Session::RowSums(const Matrix& a) {
-  // Map: per-block partial row sums; reduce: add along block columns.
+  // Add along each row in ascending block index, then column: the order
+  // depends on the contents only, not on where or when blocks were put.
   std::vector<double> sums(static_cast<size_t>(a.rows()), 0.0);
   const int64_t bs = a.shape().block_size;
-  a.distributed().ForEachBlock(
-      [&](int /*node*/, BlockIndex idx, const Block& block) {
-        const int64_t row0 = idx.i * bs;
-        ForEachElement(block, [&](int64_t r, int64_t /*c*/, double v) {
-          sums[static_cast<size_t>(row0 + r)] += v;
-        });
-      });
+  for (const engine::StoredBlock& in : a.distributed().Blocks()) {
+    const int64_t row0 = in.index.i * bs;
+    ForEachElement(in.block, [&](int64_t r, int64_t /*c*/, double v) {
+      sums[static_cast<size_t>(row0 + r)] += v;
+    });
+  }
   auto out = std::make_shared<engine::DistributedMatrix>(
       BlockedShape{a.rows(), 1, bs}, options_.cluster.num_nodes,
       engine::Partitioner::Hash(options_.cluster.num_nodes));
@@ -372,13 +374,8 @@ Result<Matrix> Session::ColSums(const Matrix& a) {
 }
 
 Result<double> Session::Sum(const Matrix& a) {
-  double total = 0.0;
-  a.distributed().ForEachBlock(
-      [&](int /*node*/, BlockIndex /*idx*/, const Block& block) {
-        ForEachElement(block,
-                       [&](int64_t, int64_t, double v) { total += v; });
-      });
-  return total;
+  return SumElements(a, options_.cluster.total_slots(),
+                     [](double v) { return v; });
 }
 
 Status Session::Save(const Matrix& a, const std::string& path) {
@@ -391,12 +388,9 @@ Result<Matrix> Session::Load(const std::string& path) {
 }
 
 Result<double> Session::FrobeniusNorm(const Matrix& a) {
-  double sum_sq = 0.0;
-  a.distributed().ForEachBlock(
-      [&](int /*node*/, BlockIndex /*idx*/, const Block& block) {
-        ForEachElement(block,
-                       [&](int64_t, int64_t, double v) { sum_sq += v * v; });
-      });
+  DISTME_ASSIGN_OR_RETURN(
+      double sum_sq, SumElements(a, options_.cluster.total_slots(),
+                                 [](double v) { return v * v; }));
   return std::sqrt(sum_sq);
 }
 

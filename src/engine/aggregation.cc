@@ -1,12 +1,11 @@
 #include "engine/aggregation.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "blas/block_ops.h"
+#include "engine/parallel_for.h"
 
 namespace distme::engine {
 
@@ -48,29 +47,14 @@ Status PartialTable::Reduce(
     }
     shards_[shard].clear();
   }
-  // Ascending block index, so the first failure in `results` is the
-  // lowest one whatever thread hit it.
+  // Ascending block index, so ParallelFor's lowest failing item is the
+  // lowest failing block.
   std::sort(blocks.begin(), blocks.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
 
-  std::vector<Status> results(blocks.size());
-  std::atomic<size_t> next{0};
-  auto fold_blocks = [&]() {
-    for (size_t b = next.fetch_add(1, std::memory_order_relaxed);
-         b < blocks.size(); b = next.fetch_add(1, std::memory_order_relaxed)) {
-      results[b] = FoldBlock(blocks[b].first, &blocks[b].second, put);
-    }
-  };
-  const size_t num_threads =
-      std::min(static_cast<size_t>(std::max(max_threads, 1)), blocks.size());
-  std::vector<std::thread> helpers;
-  for (size_t t = 1; t < num_threads; ++t) helpers.emplace_back(fold_blocks);
-  fold_blocks();
-  for (std::thread& helper : helpers) helper.join();
-  for (Status& st : results) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::OK();
+  return ParallelFor(blocks.size(), max_threads, [&](size_t b) {
+    return FoldBlock(blocks[b].first, &blocks[b].second, put);
+  });
 }
 
 }  // namespace distme::engine

@@ -1,5 +1,7 @@
 #include "engine/distributed_matrix.h"
 
+#include <algorithm>
+
 namespace distme::engine {
 
 Status DistributedMatrix::Put(BlockIndex idx, Block block) {
@@ -8,8 +10,14 @@ Status DistributedMatrix::Put(BlockIndex idx, Block block) {
     return Status::Invalid("block index out of range");
   }
   const int node = NodeOf(idx);
-  std::lock_guard<std::mutex> lock(mutexes_[static_cast<size_t>(node)]);
-  stores_[static_cast<size_t>(node)][idx] = std::move(block);
+  {
+    std::lock_guard<std::mutex> lock(mutexes_[static_cast<size_t>(node)]);
+    stores_[static_cast<size_t>(node)][idx] = std::move(block);
+  }
+  // After the store, so a Descriptor() that raced with it and missed the
+  // new block is dropped here, never kept.
+  std::lock_guard<std::mutex> lock(descriptor_mutex_);
+  descriptor_.reset();
   return Status::OK();
 }
 
@@ -54,14 +62,19 @@ int64_t DistributedMatrix::SizeBytes() const {
   return total;
 }
 
-void DistributedMatrix::ForEachBlock(
-    const std::function<void(int, BlockIndex, const Block&)>& fn) const {
+std::vector<StoredBlock> DistributedMatrix::Blocks() const {
+  std::vector<StoredBlock> blocks;
   for (size_t n = 0; n < stores_.size(); ++n) {
     std::lock_guard<std::mutex> lock(mutexes_[n]);
     for (const auto& [idx, block] : stores_[n]) {
-      fn(static_cast<int>(n), idx, block);
+      blocks.push_back({static_cast<int>(n), idx, block});
     }
   }
+  std::sort(blocks.begin(), blocks.end(),
+            [](const StoredBlock& x, const StoredBlock& y) {
+              return x.index < y.index;
+            });
+  return blocks;
 }
 
 BlockGrid DistributedMatrix::Collect() const {
@@ -76,6 +89,8 @@ BlockGrid DistributedMatrix::Collect() const {
 }
 
 mm::MatrixDescriptor DistributedMatrix::Descriptor() const {
+  std::lock_guard<std::mutex> cache_lock(descriptor_mutex_);
+  if (descriptor_.has_value()) return *descriptor_;
   mm::MatrixDescriptor d;
   d.shape = shape_;
   double nnz = 0;
@@ -92,6 +107,7 @@ mm::MatrixDescriptor DistributedMatrix::Descriptor() const {
   const double total = d.num_elements();
   d.sparsity = total == 0.0 ? 0.0 : nnz / total;
   d.stored_dense = dense_blocks * 2 >= blocks;
+  descriptor_ = d;
   return d;
 }
 

@@ -4,9 +4,10 @@
 
 #pragma once
 
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/config.h"
@@ -17,6 +18,13 @@
 #include "mm/descriptor.h"
 
 namespace distme::engine {
+
+/// \brief A materialized block and the node that stores it.
+struct StoredBlock {
+  int node = 0;
+  BlockIndex index;
+  Block block;
+};
 
 /// \brief A blocked matrix whose blocks are distributed over nodes.
 ///
@@ -30,7 +38,14 @@ class DistributedMatrix {
         stores_(static_cast<size_t>(num_nodes)),
         mutexes_(static_cast<size_t>(num_nodes)) {}
 
-  DistributedMatrix(DistributedMatrix&&) = default;
+  // Written out because std::mutex is not movable; the source must not be
+  // in use by another thread while it is moved from.
+  DistributedMatrix(DistributedMatrix&& other) noexcept
+      : shape_(other.shape_),
+        partitioner_(other.partitioner_),
+        stores_(std::move(other.stores_)),
+        mutexes_(std::move(other.mutexes_)),
+        descriptor_(other.descriptor_) {}
 
   const BlockedShape& shape() const { return shape_; }
   int num_nodes() const {
@@ -47,7 +62,8 @@ class DistributedMatrix {
                                 stores_.size()));  // distme-lint: allow(lock-held)
   }
 
-  /// \brief Inserts or replaces a block at its home node.
+  /// \brief Inserts or replaces a block at its home node, and drops the
+  /// cached descriptor.
   [[nodiscard]] Status Put(BlockIndex idx, Block block);
 
   /// \brief Fetches the block at `idx` (implicit zero if absent).
@@ -68,13 +84,13 @@ class DistributedMatrix {
   /// \brief Gathers all blocks into a local grid (test scale only).
   BlockGrid Collect() const;
 
-  /// \brief Visits every materialized block, node by node, without moving
-  /// data: fn(node, index, block). Blocks are visited under the node lock;
-  /// fn must not call back into this matrix.
-  void ForEachBlock(
-      const std::function<void(int, BlockIndex, const Block&)>& fn) const;
+  /// \brief Every materialized block in ascending block index. Payloads
+  /// are shared with the stored blocks, not copied, and no lock is held
+  /// once this returns.
+  std::vector<StoredBlock> Blocks() const;
 
-  /// \brief Planning descriptor for this matrix.
+  /// \brief Planning descriptor for this matrix: measured on the first
+  /// call after construction or the last Put, cached until the next Put.
   mm::MatrixDescriptor Descriptor() const;
 
   /// \brief Distributes a local grid across `num_nodes` nodes.
@@ -91,6 +107,11 @@ class DistributedMatrix {
   std::vector<std::unordered_map<BlockIndex, Block, BlockIndexHash>> stores_
       DISTME_SHARDED_BY(mutexes_);
   mutable std::vector<std::mutex> mutexes_;
+  // Lock order: descriptor_mutex_, then the node mutexes. Put releases its
+  // node lock before it takes descriptor_mutex_.
+  mutable std::mutex descriptor_mutex_;
+  mutable std::optional<mm::MatrixDescriptor> descriptor_
+      DISTME_GUARDED_BY(descriptor_mutex_);
 };
 
 }  // namespace distme::engine

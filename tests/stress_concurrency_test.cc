@@ -20,6 +20,8 @@
 #include "common/logging.h"
 #include "core/session.h"
 #include "engine/aggregation.h"
+#include "engine/distributed_matrix.h"
+#include "engine/parallel_for.h"
 #include "engine/real_executor.h"
 #include "gpu/device.h"
 #include "matrix/generator.h"
@@ -116,6 +118,123 @@ TEST(StressConcurrencyTest, PartialTableFailingPutReportsLowestBlock) {
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.message(), "put failed at (1, 3)");
     EXPECT_EQ(puts.load(), 29);  // the other blocks still reduced
+  }
+}
+
+// --- ParallelFor and the map-side Session ops -------------------------------
+
+// Several items fail: ParallelFor returns (does not hang) with the error of
+// the lowest failing index on every thread count, after running each index
+// exactly once.
+TEST(StressConcurrencyTest, ParallelForReportsLowestFailingIndex) {
+  constexpr size_t kItems = 200;
+  for (int threads : {1, 2, 4, 8}) {
+    for (int round = 0; round < 10; ++round) {
+      std::vector<std::atomic<int>> runs(kItems);
+      const Status st =
+          engine::ParallelFor(kItems, threads, [&](size_t i) -> Status {
+            runs[i].fetch_add(1, std::memory_order_relaxed);
+            if (i >= 50 && i % 7 == 3) {
+              return Status::IOError("item " + std::to_string(i));
+            }
+            return Status::OK();
+          });
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.message(), "item 52");
+      for (const std::atomic<int>& r : runs) {
+        EXPECT_EQ(r.load(std::memory_order_relaxed), 1);
+      }
+    }
+  }
+  EXPECT_TRUE(engine::ParallelFor(0, 4, [](size_t) {
+                return Status::Invalid("never called");
+              }).ok());
+}
+
+// Writers Put blocks (dense and CSR, replacing some) while readers call
+// Descriptor() nonstop. A Descriptor() that raced a Put may have cached a
+// value without that block, but the Put drops it afterwards: once the
+// writers have joined, the descriptor must equal a full scan.
+TEST(StressConcurrencyTest, DescriptorCacheNeverKeepsAStaleValue) {
+  constexpr int kWriters = kThreads / 2;
+  const BlockedShape shape{96, 96, 8};  // 12 × 12 blocks
+  const int64_t num_blocks = shape.block_rows() * shape.block_cols();
+  const Block dense = Block::Dense(DenseMatrix::Identity(8));
+  const Block sparse = Block::Sparse(
+      CsrMatrix::FromTriplets(8, 8, {{1, 2, 3.0}}).ValueOrDie());
+  for (int round = 0; round < 20; ++round) {
+    engine::DistributedMatrix dist(shape, 3, engine::Partitioner::Hash(3));
+    std::atomic<int> writers_left{kWriters};
+    RunOnThreads([&](int t) {
+      if (t >= kWriters) {
+        while (writers_left.load(std::memory_order_acquire) > 0) {
+          (void)dist.Descriptor();
+        }
+        return;
+      }
+      for (int64_t k = t; k < num_blocks; k += kWriters) {
+        const BlockIndex idx{k / shape.block_cols(), k % shape.block_cols()};
+        EXPECT_TRUE(dist.Put(idx, (k + round) % 3 == 0 ? dense : sparse).ok());
+        (void)dist.Descriptor();
+      }
+      // Then flip a block written by another writer.
+      const BlockIndex idx{0, (t + 1) % kWriters};
+      EXPECT_TRUE(dist.Put(idx, dense).ok());
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+    const mm::MatrixDescriptor cached = dist.Descriptor();
+    const mm::MatrixDescriptor scan =
+        mm::MatrixDescriptor::FromGrid(dist.Collect());
+    EXPECT_EQ(cached.sparsity, scan.sparsity);
+    EXPECT_EQ(cached.stored_dense, scan.stored_dense);
+  }
+}
+
+// Map-side Session ops on 8 slots while a sampler and watchdog run: under
+// TSan this is the race test for the ParallelFor workers putting into one
+// output matrix; functionally every output must match the one-slot bits.
+TEST(StressConcurrencyTest, MapSideOpsMatchOneSlot) {
+  auto run = [](const ClusterConfig& cluster) {
+    core::Session::Options options;
+    options.cluster = cluster;
+    options.sample_period_ms = 1;
+    options.watchdog_period_ms = 1;
+    core::Session session(options);
+    GeneratorOptions g;
+    g.rows = 96;
+    g.cols = 80;
+    g.block_size = 8;
+    g.sparsity = 0.3;
+    g.seed = 61;
+    const core::Matrix a = session.Generate(g).ValueOrDie();
+    g.sparsity = 1.0;
+    g.seed = 62;
+    const core::Matrix b = session.Generate(g).ValueOrDie();
+    std::vector<DenseMatrix> out;
+    for (int round = 0; round < 5; ++round) {
+      const core::Matrix q =
+          session.ElementWise(blas::ElementWiseOp::kDiv, a, b, 1e-9)
+              .ValueOrDie();
+      const core::Matrix s =
+          session.Scale(session.ElementWise(blas::ElementWiseOp::kMul, q, q)
+                            .ValueOrDie(),
+                        3.0)
+              .ValueOrDie();
+      DenseMatrix sum(1, 1);
+      sum.Set(0, 0, session.Sum(s).ValueOrDie());
+      out = {session.Transpose(a).ValueOrDie().Collect().ToDense(),
+             s.Collect().ToDense(), std::move(sum)};
+    }
+    return out;
+  };
+  const std::vector<DenseMatrix> want = run(ClusterConfig::Local(1, 1));
+  const std::vector<DenseMatrix> got = run(ClusterConfig::Local(4, 2));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(std::memcmp(got[k].data(), want[k].data(),
+                          static_cast<size_t>(want[k].SizeBytes())),
+              0)
+        << "output " << k;
   }
 }
 
