@@ -151,6 +151,29 @@ TEST(StressConcurrencyTest, ParallelForReportsLowestFailingIndex) {
               }).ok());
 }
 
+// Calls from several threads at once, each item itself calling ParallelFor:
+// every call returns with each of its items run exactly once, and helpers
+// that outlive their call (detached, started late) race with nothing.
+TEST(StressConcurrencyTest, ParallelForNestsAndRunsConcurrently) {
+  constexpr size_t kOuter = 24;
+  constexpr size_t kInner = 12;
+  for (int round = 0; round < 5; ++round) {
+    RunOnThreads([&](int t) {
+      std::vector<std::atomic<int>> runs(kOuter * kInner);
+      const Status st = engine::ParallelFor(kOuter, 4, [&](size_t i) {
+        return engine::ParallelFor(kInner, 3, [&](size_t j) {
+          runs[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+          return Status::OK();
+        });
+      });
+      EXPECT_TRUE(st.ok()) << "thread " << t << ": " << st.ToString();
+      for (const std::atomic<int>& r : runs) {
+        EXPECT_EQ(r.load(std::memory_order_relaxed), 1);
+      }
+    });
+  }
+}
+
 // Writers Put blocks (dense and CSR, replacing some) while readers call
 // Descriptor() nonstop. A Descriptor() that raced a Put may have cached a
 // value without that block, but the Put drops it afterwards: once the
